@@ -4,7 +4,6 @@ taken at unknown locations generated by a renewal process."""
 from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth, threshold_coefficient
 from .errors import ConfigError
 from .estimator import (
-    CoefficientEstimate,
     energy_estimate,
     estimate_coefficient,
     estimate_field,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandlimitedField",
     "BandwidthConfig",
-    "CoefficientEstimate",
     "ConfigError",
     "DetectionOutcome",
     "ExperimentConfig",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import _phase_base, _project, energy_estimate
+from .estimator import _check_readings, energy_estimate, harmonic_pairs
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class BandwidthConfig:
         if self.threshold <= 0:
             raise ConfigError(
                 f"threshold delta - n**(-1/3) = {self.threshold:.6g} is not positive; "
-                f"need n >= (1/delta)**3 = {(1.0 / self.delta) ** 3:.6g}"
+                f"need n > (1/delta)**3 = {(1.0 / self.delta) ** 3:.6g}"
             )
 
 
@@ -118,53 +118,28 @@ class DetectionOutcome:
 def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:
     """Run the scan on one vector of readings."""
     config.validate_runnable()
-    y = np.asarray(readings)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("readings must be a non-empty 1-d vector")
-    m = y.size
+    y = _check_readings(readings)
     e_g = energy_estimate(y, config.sigma2)
     band = config.band
 
-    base = _phase_base(m)
-    w = np.ones(m, dtype=complex)
-    kept_pos: list[complex] = []  # k = 1..B
-    kept_neg: list[complex] = []  # k = -1..-B
-    kept_zero = 0j
+    kept_pos: list[complex] = []  # k = 0..B
+    kept_neg: list[complex] = []  # k = -0..-B; -0 repeats k = 0 and is dropped
     total = 0.0
-    for scan_b in range(config.b_max + 1):
-        if scan_b == 0:
-            kept_zero = threshold_coefficient(_project(y, w, conjugate=False), config)
-            total += abs(kept_zero) ** 2
-        else:
-            w = w * base
-            kp = threshold_coefficient(_project(y, w, conjugate=False), config)
-            kn = threshold_coefficient(_project(y, w, conjugate=True), config)
-            kept_pos.append(kp)
-            kept_neg.append(kn)
-            total += abs(kp) ** 2 + abs(kn) ** 2
-        residual = total - e_g
-        if -band <= residual <= band:
-            return DetectionOutcome(
-                status="Stopped",
-                detected_b=scan_b,
-                kept_coeffs=_assemble(kept_zero, kept_pos, kept_neg),
-                energy_est=e_g,
-                stop_residual=residual,
-            )
+    status, detected_b = "CapReached", None
+    # zip pulls from the range first, so no harmonic past b_max is projected
+    for scan_b, (plus, minus) in zip(range(config.b_max + 1), harmonic_pairs(y)):
+        kp = threshold_coefficient(plus, config)
+        kn = threshold_coefficient(minus, config)
+        kept_pos.append(kp)
+        kept_neg.append(kn)
+        total += abs(kp) ** 2 if scan_b == 0 else abs(kp) ** 2 + abs(kn) ** 2
+        if -band <= total - e_g <= band:
+            status, detected_b = "Stopped", scan_b
+            break
     return DetectionOutcome(
-        status="CapReached",
-        detected_b=None,
-        kept_coeffs=_assemble(kept_zero, kept_pos, kept_neg),
+        status=status,
+        detected_b=detected_b,
+        kept_coeffs=kept_neg[:0:-1] + kept_pos,
         energy_est=e_g,
         stop_residual=total - e_g,
     )
-
-
-def _assemble(kept_zero: complex, kept_pos: list[complex], kept_neg: list[complex]) -> np.ndarray:
-    half = len(kept_pos)
-    coeffs = np.zeros(2 * half + 1, dtype=complex)
-    coeffs[half] = kept_zero
-    for k in range(1, half + 1):
-        coeffs[half + k] = kept_pos[k - 1]
-        coeffs[half - k] = kept_neg[k - 1]
-    return coeffs

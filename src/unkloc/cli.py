@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .estimator import estimate_field
 from .experiments import (
     ExperimentConfig,
+    RenewalFamily,
     load_rows_csv,
     run,
     run_trial,
@@ -46,24 +47,13 @@ def _parse_noise(token: str) -> NoiseSpec:
     return NoiseSpec(family, params)
 
 
-def _renewal_spec(args, n: int) -> RenewalSpec:
-    family = args.renewal
-    if family == "uniform":
-        spec = RenewalSpec.uniform(n)
-    elif family == "triangular":
-        spec = RenewalSpec.triangular(n)
-    elif family == "scaled_beta":
-        spec = RenewalSpec.scaled_beta(n, args.alpha, args.beta)
-    elif family == "degenerate":
-        spec = RenewalSpec.degenerate(n)
-    else:
-        raise ConfigError(f"unknown renewal family {family!r}")
-    if args.lam is not None and abs(args.lam - spec.lam) > 1e-12:
+def _check_lambda(lam: float | None, spec: RenewalSpec) -> None:
+    """--lambda may only restate the support bound the mean-1 constraint pins."""
+    if lam is not None and abs(lam - spec.lam) > 1e-12:
         raise ConfigError(
-            f"--lambda {args.lam} conflicts with the mean-1 constraint for "
-            f"{family} (lam = {spec.lam})"
+            f"--lambda {lam} conflicts with the mean-1 constraint for "
+            f"{spec.family} (lam = {spec.lam})"
         )
-    return spec
 
 
 def _load_field(args) -> BandlimitedField:
@@ -93,7 +83,8 @@ def cmd_field_gen(args) -> int:
 
 def _simulated_readings(args):
     truth = _load_field(args)
-    spec = _renewal_spec(args, args.n)
+    spec = RenewalFamily(args.renewal, args.alpha, args.beta).spec_for(args.n)
+    _check_lambda(args.lam, spec)
     noise = _parse_noise(args.noise)
     rng_trace, rng_noise = spawn_rngs(args.seed)
     trace = generate_trace(spec, rng_trace)
@@ -145,12 +136,7 @@ def _config_with_overrides(args) -> ExperimentConfig:
             data["renewal"].update(alpha=args.alpha, beta=args.beta)
     if args.lam is not None:
         probe = ExperimentConfig.from_dict(data)
-        spec = probe.renewal.spec_for(probe.n_grid[0])
-        if abs(args.lam - spec.lam) > 1e-12:
-            raise ConfigError(
-                f"--lambda {args.lam} conflicts with the mean-1 constraint "
-                f"(family {probe.renewal.kind} has lam = {spec.lam})"
-            )
+        _check_lambda(args.lam, probe.renewal.spec_for(probe.n_grid[0]))
     if args.noise is not None:
         data["noise"] = _parse_noise(args.noise).to_dict()
     return ExperimentConfig.from_dict(data)

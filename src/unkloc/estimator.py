@@ -2,7 +2,8 @@
 
 The estimator sees only the readings and their ordinal position: coefficient
 k is the average of y_i exp(-j 2 pi k i / M) over i = 1..M, as if the
-samples sat on the uniform grid i/M.  No FFT: phase vectors are built by
+samples sat on the uniform grid i/M.  Every projection in the package comes
+from one kernel, ``harmonic_pairs``.  No FFT: phase vectors are built by
 repeated multiplication of the base vector exp(-j 2 pi i / M), and sums use
 numpy's pairwise reduction so results stay bit-identical across BLAS
 threading settings (replay determinism).
@@ -10,44 +11,12 @@ threading settings (replay determinism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
 from .field import BandlimitedField
-
-
-def _phase_base(m: int) -> np.ndarray:
-    """exp(-j 2 pi i / M) for i = 1..M."""
-    return np.exp((-2j * np.pi / m) * np.arange(1, m + 1))
-
-
-def _phase_power(m: int, k: int) -> np.ndarray:
-    """exp(-j 2 pi k i / M) for i = 1..M, k >= 0, by repeated multiplication."""
-    w = np.ones(m, dtype=complex)
-    if k == 0:
-        return w
-    base = _phase_base(m)
-    for _ in range(k):
-        w = w * base
-    return w
-
-
-def _project(y: np.ndarray, w: np.ndarray, conjugate: bool) -> complex:
-    """(1/M) sum y_i * w_i, or with conj(w) when ``conjugate``.
-
-    For real readings the two real sums make conj-symmetry bit-exact:
-    negating the imaginary sum is a lossless float operation.
-    """
-    m = y.size
-    if np.isrealobj(y):
-        re = float(np.sum(y * w.real))
-        im = float(np.sum(y * w.imag))
-        if conjugate:
-            im = -im
-        return complex(re, im) / m
-    ww = np.conj(w) if conjugate else w
-    return complex(np.sum(y * ww)) / m
 
 
 def _check_readings(readings) -> np.ndarray:
@@ -57,28 +26,38 @@ def _check_readings(readings) -> np.ndarray:
     return y
 
 
+def harmonic_pairs(y: np.ndarray) -> Iterator[tuple[complex, complex]]:
+    """Yield (A[k], A[-k]) for k = 0, 1, 2, ... from a non-empty 1-d vector.
+
+    For real readings both values come from one pair of real sums, so
+    A[-k] == conj(A[k]) holds bit for bit; at k = 0 the two entries are the
+    same harmonic and consumers take the first.  Complex readings need not
+    be conjugate-symmetric and get two complex sums.  The phase base is
+    built only when k = 1 is requested, so a k = 0 consumer never pays for
+    the M complex exponentials.
+    """
+    m = y.size
+    real = np.isrealobj(y)
+    w = np.ones(m, dtype=complex)
+    base = None
+    while True:
+        if real:
+            re = float(np.sum(y * w.real))
+            im = float(np.sum(y * w.imag))
+            yield complex(re, im) / m, complex(re, -im) / m
+        else:
+            yield complex(np.sum(y * w)) / m, complex(np.sum(y * np.conj(w))) / m
+        if base is None:
+            base = np.exp((-2j * np.pi / m) * np.arange(1, m + 1))
+        w = w * base
+
+
 def estimate_coefficient(readings, k: int) -> complex:
     """Ordinal-grid estimate of coefficient k from the readings alone."""
     y = _check_readings(readings)
-    w = _phase_power(y.size, abs(int(k)))
-    return _project(y, w, conjugate=k < 0)
-
-
-@dataclass(frozen=True)
-class CoefficientEstimate:
-    """One estimated coefficient with the sample count it averaged over."""
-
-    k: int
-    value: complex
-    m_used: int
-
-    @classmethod
-    def from_readings(cls, readings, k: int) -> "CoefficientEstimate":
-        y = _check_readings(readings)
-        value = estimate_coefficient(y, k)
-        # averaging unit-modulus phases cannot beat the largest reading
-        assert abs(value) <= float(np.max(np.abs(y))) + 1e-12
-        return cls(k=int(k), value=value, m_used=y.size)
+    k = int(k)
+    plus, minus = next(islice(harmonic_pairs(y), abs(k), None))
+    return plus if k >= 0 else minus
 
 
 def estimate_field(readings, b: int) -> BandlimitedField:
@@ -90,17 +69,8 @@ def estimate_field(readings, b: int) -> BandlimitedField:
     y = _check_readings(readings)
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
-    m = y.size
-    coeffs = np.zeros(2 * b + 1, dtype=complex)
-    w = np.ones(m, dtype=complex)
-    coeffs[b] = _project(y, w, conjugate=False)
-    if b > 0:
-        base = _phase_base(m)
-        for k in range(1, b + 1):
-            w = w * base
-            coeffs[b + k] = _project(y, w, conjugate=False)
-            coeffs[b - k] = _project(y, w, conjugate=True)
-    return BandlimitedField(b=b, coeffs=coeffs)
+    plus, minus = zip(*islice(harmonic_pairs(y), b + 1))
+    return BandlimitedField(b=b, coeffs=[*minus[:0:-1], *plus])
 
 
 def riemann_coefficient(field: BandlimitedField, m: int, k: int) -> complex:
@@ -108,9 +78,7 @@ def riemann_coefficient(field: BandlimitedField, m: int, k: int) -> complex:
     values g(i/m); equals a[k] whenever m >= 2b+1 (no aliasing)."""
     if m < 1:
         raise ValueError("grid size must be positive")
-    g = np.asarray(field.evaluate(np.arange(1, m + 1) / m))
-    w = _phase_power(m, abs(int(k)))
-    return _project(g, w, conjugate=k < 0)
+    return estimate_coefficient(field.evaluate(np.arange(1, m + 1) / m), k)
 
 
 def energy_estimate(readings, sigma2: float) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
 from .errors import ConfigError
@@ -390,6 +389,9 @@ def fit_loglog_slope(points) -> SlopeFit:
     resid = y - (intercept + slope * x)
     dof = len(pts) - 2
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    # scipy.stats costs about a second to import; only slope fits need it
+    from scipy.stats import t as student_t
+
     half = float(student_t.ppf(0.975, dof)) * se
     return SlopeFit(slope=slope, ci_low=slope - half, ci_high=slope + half)
 

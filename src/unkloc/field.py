@@ -64,7 +64,8 @@ class BandlimitedField:
             ek = ek * e1
             val += self.coeffs[self.b + k] * ek + self.coeffs[self.b - k] * np.conj(ek)
         if self.is_real:
-            assert np.max(np.abs(val.imag), initial=0.0) < 1e-9
+            if not np.max(np.abs(val.imag), initial=0.0) < 1e-9:
+                raise RuntimeError("a conjugate-symmetric field evaluated to a complex value")
             val = val.real
         return val[()] if val.ndim == 0 else val
 

@@ -141,7 +141,7 @@ class SampleTrace:
     """Ordered locations S_1 < ... < S_M in (0, 1] plus optional readings.
 
     overshoot is 1 - S_M.  The stopping rule S_M <= 1 < S_M + X_{M+1} is
-    asserted during generation; the crossing spacing itself is discarded.
+    checked during generation; the crossing spacing itself is discarded.
     """
 
     spec: RenewalSpec
@@ -209,8 +209,8 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
             cut = int(crossed[0])
             pieces.append(partial[:cut])
             # stopping rule: last kept sum <= 1, and adding x[cut] crosses 1
-            assert cut == 0 or partial[cut - 1] <= 1.0
-            assert partial[cut] > 1.0
+            if not ((cut == 0 or partial[cut - 1] <= 1.0) and partial[cut] > 1.0):
+                raise RuntimeError("trace generation broke the stopping rule S_M <= 1 < S_M + X_{M+1}")
             break
         pieces.append(partial)
         total = float(partial[-1])

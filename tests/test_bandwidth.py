@@ -63,11 +63,12 @@ def test_explicit_shrink_override():
 
 def test_runnable_guard():
     # the threshold must be strictly positive; at n = (1/delta)^3 exactly it
-    # is zero, so the boundary point itself is rejected too
+    # is zero, so the boundary point itself is rejected too, and the message
+    # states the strict bound
     cfg = BandwidthConfig(delta=0.1, sigma2=0.0, n=999)
-    with pytest.raises(ConfigError, match="1000"):
+    with pytest.raises(ConfigError, match=r"need n > \(1/delta\)\*\*3 = 1000"):
         cfg.validate_runnable()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"need n > \(1/delta\)\*\*3 = 1000"):
         BandwidthConfig(delta=0.1, sigma2=0.0, n=1000).validate_runnable()
     BandwidthConfig(delta=0.1, sigma2=0.0, n=1001).validate_runnable()
 

@@ -1,9 +1,14 @@
 """End-to-end CLI checks driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unkloc
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
 from unkloc.field import BandlimitedField
 
@@ -216,6 +221,13 @@ def test_sweep_overrides(sweep_config, tmp_path, monkeypatch, capsys):
     assert note["slope"] is None
 
 
+def test_sweep_rejects_wrong_lambda(sweep_config, tmp_path, capsys):
+    code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o"),
+                 "--lambda", "3.0"])
+    assert code == EXIT_USAGE
+    assert "mean-1" in capsys.readouterr().err
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")])
@@ -283,6 +295,18 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import and only slope fits use it,
+    # so commands like replay must not pay for it at start-up
+    code = "import sys, unkloc.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(unkloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_help_exits_clean(capsys):

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
 from unkloc.estimator import (
-    CoefficientEstimate,
     energy_estimate,
     estimate_coefficient,
     estimate_field,
@@ -95,11 +95,44 @@ def test_estimate_rejects_empty_or_matrix():
         estimate_coefficient(np.ones((3, 3)), 0)
 
 
-def test_coefficient_estimate_bound():
-    y = np.array([0.2, -0.4, 0.1])
-    est = CoefficientEstimate.from_readings(y, 1)
-    assert est.m_used == 3
-    assert abs(est.value) <= 0.4 + 1e-12
+def test_complex_readings_match_oracle_at_plus_and_minus_k():
+    # complex readings need not be conjugate-symmetric, so -k is its own sum
+    rng = np.random.Generator(np.random.Philox(key=34))
+    y = rng.normal(size=61) + 1j * rng.normal(size=61)
+    est = estimate_field(y, 5)
+    for k in range(-5, 6):
+        expected = project_oracle(y, k)
+        assert estimate_coefficient(y, k) == pytest.approx(expected, abs=1e-10)
+        assert est.coefficient(k) == estimate_coefficient(y, k)
+    assert est.coefficient(-2) != pytest.approx(est.coefficient(2).conjugate(), abs=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 120), b=st.integers(0, 12),
+       complex_readings=st.booleans())
+def test_estimates_never_exceed_largest_reading(seed, m, b, complex_readings):
+    # averaging unit-modulus phases cannot beat the largest reading
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    y = rng.uniform(-1.0, 1.0, size=m)
+    if complex_readings:
+        y = y + 1j * rng.uniform(-1.0, 1.0, size=m)
+    bound = float(np.max(np.abs(y))) + 1e-12
+    assert np.all(np.abs(estimate_field(y, b).coeffs) <= bound)
+
+
+@pytest.mark.parametrize("b_max", [2, 64])
+def test_detection_keeps_the_thresholded_field_estimate_bit_for_bit(b_max):
+    # the scan and the known-b estimator share one kernel: whatever B the
+    # scan reached, its kept coefficients are the thresholded estimate
+    rng = np.random.Generator(np.random.Philox(key=77))
+    n = 20_000
+    y = reference_field("paper2").evaluate(np.sort(rng.random(n))) + rng.uniform(-1.0, 1.0, n)
+    config = BandwidthConfig(delta=0.1, sigma2=1.0 / 3.0, n=n, b_max=b_max)
+    outcome = detect_bandwidth(y, config)
+    assert outcome.status == ("CapReached" if b_max == 2 else "Stopped")
+    est = estimate_field(y, outcome.b_scanned)
+    expected = np.array([threshold_coefficient(c, config) for c in est.coeffs])
+    assert outcome.kept_coeffs.tobytes() == expected.tobytes()
 
 
 # grid exactness --------------------------------------------------------------

@@ -9,12 +9,17 @@ package paths they check.
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unkloc
 from unkloc.field import (
     DENSE_GRID,
     BandlimitedField,
@@ -122,11 +127,31 @@ def test_evaluate_periodicity(seed, b, x):
 
 
 def test_real_field_residual_imag_is_tiny():
-    # the evaluate path asserts |Im| < 1e-9 before dropping it; probe densely
+    # the evaluate path checks |Im| < 1e-9 before dropping it; probe densely
     f = reference_field("paper1")
     x = np.arange(DENSE_GRID) / DENSE_GRID
     vals = f.evaluate(x)
     assert np.isrealobj(vals)
+
+
+def test_real_field_residual_check_survives_optimize():
+    # an infinite conjugate-symmetric pair leaves NaN in the imaginary part;
+    # the check must raise even under python -O, which strips asserts
+    code = (
+        "import numpy as np\n"
+        "from unkloc.field import BandlimitedField\n"
+        "f = BandlimitedField(b=1, coeffs=[np.inf, 0.0, np.inf])\n"
+        "try:\n"
+        "    f.evaluate(np.array([0.1, 0.3]))\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(unkloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 # derivative bound ------------------------------------------------------------
