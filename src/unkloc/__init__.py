@@ -20,12 +20,11 @@ from .experiments import (
     run_trial,
 )
 from .field import BandlimitedField, distortion, random_field, reference_field
-from .noise import NoiseSpec, draw, moments
+from .noise import NoiseSpec
 from .sampling import (
     RenewalSpec,
     SampleTrace,
     acquire,
-    draw_spacing,
     generate_trace,
     grid_deviation,
     spawn_rngs,
@@ -50,15 +49,12 @@ __all__ = [
     "acquire",
     "detect_bandwidth",
     "distortion",
-    "draw",
-    "draw_spacing",
     "energy_estimate",
     "estimate_coefficient",
     "estimate_field",
     "fit_loglog_slope",
     "generate_trace",
     "grid_deviation",
-    "moments",
     "random_field",
     "reference_field",
     "riemann_coefficient",

@@ -3,9 +3,8 @@
 Scan B = 0, 1, 2, ...: estimate coefficients +-B, zero out any whose
 magnitude does not strictly exceed delta - n^(-1/3), and stop at the first
 B where the accumulated kept energy lands within +-delta^2/2 of the energy
-estimate computed from the readings.  Both the shrinkage term and the
-stopping half-width can be overridden in the config; the defaults are the
-standard choices.
+estimate computed from the readings.  Both terms follow from delta and n;
+neither is a parameter.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ class BandwidthConfig:
     sigma2: float
     n: int
     b_max: int = 64
-    shrink: float | None = None  # override for the n^(-1/3) threshold shrinkage
-    stop_halfwidth: float | None = None  # override for the delta^2/2 stopping band
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ConfigError("delta must be positive")
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be non-negative")
         if int(self.n) != self.n or self.n < 1:
             raise ConfigError("n must be a positive integer")
@@ -41,12 +38,11 @@ class BandwidthConfig:
 
     @property
     def threshold(self) -> float:
-        shrink = self.n ** (-1.0 / 3.0) if self.shrink is None else self.shrink
-        return self.delta - shrink
+        return self.delta - self.n ** (-1.0 / 3.0)
 
     @property
     def band(self) -> float:
-        return 0.5 * self.delta**2 if self.stop_halfwidth is None else self.stop_halfwidth
+        return 0.5 * self.delta**2
 
     def validate_runnable(self) -> None:
         if self.threshold <= 0:
@@ -102,17 +98,6 @@ class DetectionOutcome:
             "stop_residual": self.stop_residual,
             "kept_coeffs": [[float(c.real), float(c.imag)] for c in self.kept_coeffs],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectionOutcome":
-        coeffs = np.array([complex(re, im) for re, im in data["kept_coeffs"]])
-        return cls(
-            status=str(data["status"]),
-            detected_b=None if data["detected_b"] is None else int(data["detected_b"]),
-            kept_coeffs=coeffs,
-            energy_est=float(data["energy_estimate"]),
-            stop_residual=float(data["stop_residual"]),
-        )
 
 
 def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:

@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
-from .sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+from .sampling import FAMILIES as RENEWAL_FAMILIES, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,10 +56,6 @@ def _check_lambda(lam: float | None, spec: RenewalSpec) -> None:
         )
 
 
-def _load_field(args) -> BandlimitedField:
-    return BandlimitedField.load(args.field)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True) + "\n"
     if out:
@@ -81,9 +77,15 @@ def cmd_field_gen(args) -> int:
     return EXIT_OK
 
 
+def _renewal_record(args) -> dict:
+    """--renewal/--alpha/--beta as a config renewal record; an unset shape
+    (None) keeps the family default."""
+    return {"family": args.renewal, "alpha": args.alpha, "beta": args.beta}
+
+
 def _simulated_readings(args):
-    truth = _load_field(args)
-    spec = RenewalFamily(args.renewal, args.alpha, args.beta).spec_for(args.n)
+    truth = BandlimitedField.load(args.field)
+    spec = RenewalFamily.from_dict(_renewal_record(args)).spec_for(args.n)
     _check_lambda(args.lam, spec)
     noise = _parse_noise(args.noise)
     rng_trace, rng_noise = spawn_rngs(args.seed)
@@ -111,7 +113,6 @@ def cmd_estimate(args) -> int:
 def cmd_detect(args) -> int:
     _, noise, trace = _simulated_readings(args)
     config = BandwidthConfig(delta=args.delta, sigma2=noise.variance, n=args.n, b_max=args.b_max)
-    config.validate_runnable()
     outcome = detect_bandwidth(trace.readings, config)
     payload = outcome.to_dict()
     payload.update(n=args.n, seed=args.seed, delta=args.delta)
@@ -131,9 +132,7 @@ def _config_with_overrides(args) -> ExperimentConfig:
     if args.delta is not None:
         data["delta"] = args.delta
     if args.renewal is not None:
-        data["renewal"] = {"family": args.renewal}
-        if args.renewal == "scaled_beta":
-            data["renewal"].update(alpha=args.alpha, beta=args.beta)
+        data["renewal"] = _renewal_record(args)
     if args.lam is not None:
         probe = ExperimentConfig.from_dict(data)
         _check_lambda(args.lam, probe.renewal.spec_for(probe.n_grid[0]))
@@ -217,10 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     def sim_flags(p, with_b=False):
         p.add_argument("--field", required=True, help="coefficient file of the truth field")
         p.add_argument("--n", type=int, required=True, help="nominal sampling density")
-        p.add_argument("--renewal", default="uniform",
-                       choices=("uniform", "triangular", "scaled_beta", "degenerate"))
-        p.add_argument("--alpha", type=float, default=2.0, help="scaled_beta alpha")
-        p.add_argument("--beta", type=float, default=2.0, help="scaled_beta beta")
+        p.add_argument("--renewal", default="uniform", choices=RENEWAL_FAMILIES)
+        p.add_argument("--alpha", type=float, help="scaled_beta alpha")
+        p.add_argument("--beta", type=float, help="scaled_beta beta")
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="spacing support bound (validated against the family)")
         p.add_argument("--noise", default="zero", help="e.g. uniform:1.0, gaussian:0.5, zero")
@@ -247,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--renewal", default=None,
-                   choices=("uniform", "triangular", "scaled_beta", "degenerate"))
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--renewal", default=None, choices=RENEWAL_FAMILIES)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--noise", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -274,10 +271,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,9 +1,10 @@
 """Seeded Monte Carlo harness: sweeps over n, summaries, log-log slope fits.
 
 Each (n, trial) cell gets its own 64-bit seed hashed from the experiment
-seed, so any cell can be replayed bit-exactly in isolation.  Per-trial
-faults become NaN-valued rows rather than aborting the sweep; summary
-counts then show the surviving denominator.
+seed, so any cell can be replayed bit-exactly in isolation.  A trial whose
+config is unrunnable at its n (a detection threshold that is not positive)
+becomes NaN-valued rows rather than aborting the sweep; summary counts then
+show the surviving denominator.  Any other fault propagates.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class FieldSource:
         if self.kind in ("paper1", "paper2"):
             return
         if self.kind == "random":
-            if self.b is None or self.seed is None or self.b < 0:
-                raise ConfigError("random field source needs b >= 0 and a seed")
+            if not (isinstance(self.b, int) and self.b >= 0 and isinstance(self.seed, int)):
+                raise ConfigError("random field source needs an integer b >= 0 and an integer seed")
             return
         if self.kind == "file":
-            if not self.path:
+            if not (isinstance(self.path, str) and self.path):
                 raise ConfigError("file field source needs a path")
             return
         raise ConfigError(f"unknown field source {self.kind!r}")
@@ -99,38 +100,30 @@ class RenewalFamily:
     """n-independent part of a renewal spec; the sweep supplies n."""
 
     kind: str
-    alpha: float | None = None
-    beta: float | None = None
+    alpha: float = RenewalSpec.alpha  # the scaled_beta shape defaults live on RenewalSpec
+    beta: float = RenewalSpec.beta
 
     def __post_init__(self) -> None:
         # validate eagerly via a probe spec
         self.spec_for(2)
 
     def spec_for(self, n: int) -> RenewalSpec:
-        if self.kind == "uniform":
-            return RenewalSpec.uniform(n)
-        if self.kind == "triangular":
-            return RenewalSpec.triangular(n)
-        if self.kind == "scaled_beta":
-            return RenewalSpec.scaled_beta(n, self.alpha if self.alpha is not None else 2.0,
-                                           self.beta if self.beta is not None else 2.0)
-        if self.kind == "degenerate":
-            return RenewalSpec.degenerate(n)
-        raise ConfigError(f"unknown renewal family {self.kind!r}")
+        return RenewalSpec(n, self.kind, self.alpha, self.beta)
 
     def to_dict(self) -> dict:
         out = {"family": self.kind}
         if self.kind == "scaled_beta":
-            out.update(alpha=self.alpha if self.alpha is not None else 2.0,
-                       beta=self.beta if self.beta is not None else 2.0)
+            out.update(alpha=self.alpha, beta=self.beta)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalFamily":
+        """A missing or null alpha/beta takes the RenewalSpec default."""
         kind = data.get("family")
         if kind is None:
             raise ConfigError("renewal record needs a 'family' entry")
-        return cls(kind=str(kind), alpha=data.get("alpha"), beta=data.get("beta"))
+        shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
+        return cls(kind=str(kind), **shape)
 
 
 @dataclass(frozen=True)
@@ -155,17 +148,22 @@ class ExperimentConfig:
             raise ConfigError("n_grid must hold positive integers")
         if any(b >= a for b, a in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
+        lam = self.renewal.spec_for(grid[0]).lam
+        if grid[0] < lam:
+            raise ConfigError(f"n_grid must start at n >= lam = {lam:g}; below it a trace can hold no sample")
         object.__setattr__(self, "n_grid", grid)
         if int(self.trials) != self.trials or self.trials < 1:
             raise ConfigError("trials must be a positive integer")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        if self.known_b is not None and (int(self.known_b) != self.known_b or self.known_b < 0):
-            raise ConfigError("known_b must be a non-negative integer")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if int(self.b_max) != self.b_max or self.b_max < 0:
-            raise ConfigError("b_max must be a non-negative integer")
+        if self.known_b is not None:
+            if int(self.known_b) != self.known_b or self.known_b < 0:
+                raise ConfigError("known_b must be a non-negative integer")
+            object.__setattr__(self, "known_b", int(self.known_b))
+        # BandwidthConfig owns the delta and b_max rules; a probe applies them at load
+        BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
+        if int(self.riemann_k) != self.riemann_k:
+            raise ConfigError("riemann_k must be an integer")
         object.__setattr__(self, "riemann_k", int(self.riemann_k))
 
     def to_dict(self) -> dict:
@@ -194,24 +192,33 @@ class ExperimentConfig:
         for key in ("mode", "field", "renewal", "noise", "n_grid"):
             if key not in data:
                 raise ConfigError(f"experiment config is missing {key!r}")
+        for key in ("field", "renewal", "noise"):
+            if not isinstance(data[key], dict):
+                raise ConfigError(f"experiment config entry {key!r} must be a mapping")
         known = {"mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed",
                  "known_b", "delta", "b_max", "riemann_k"}
         stray = set(data) - known
         if stray:
             raise ConfigError(f"unknown config keys: {sorted(stray)}")
-        return cls(
-            mode=str(data["mode"]),
-            field_source=FieldSource.from_dict(data["field"]),
-            renewal=RenewalFamily.from_dict(data["renewal"]),
-            noise=NoiseSpec.from_dict(data["noise"]),
-            n_grid=tuple(data["n_grid"]),
-            trials=data.get("trials", 1000),
-            master_seed=data.get("master_seed", 0),
-            known_b=data.get("known_b"),
-            delta=data.get("delta", 0.1),
-            b_max=data.get("b_max", 64),
-            riemann_k=data.get("riemann_k", 0),
-        )
+        try:
+            return cls(
+                mode=str(data["mode"]),
+                field_source=FieldSource.from_dict(data["field"]),
+                renewal=RenewalFamily.from_dict(data["renewal"]),
+                noise=NoiseSpec.from_dict(data["noise"]),
+                n_grid=tuple(data["n_grid"]),
+                trials=data.get("trials", 1000),
+                master_seed=data.get("master_seed", 0),
+                known_b=data.get("known_b"),
+                delta=data.get("delta", 0.1),
+                b_max=data.get("b_max", 64),
+                riemann_k=data.get("riemann_k", 0),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a value of the wrong JSON type, such as "delta": "x" or "trials": NaN
+            raise ConfigError(f"malformed experiment config: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -316,8 +323,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         n, t = cell
         try:
             return run_trial(config, n, seeds[cell], truth=truth)
-        except Exception:
-            # keep the denominator visible; a lost trial is a NaN row
+        except ConfigError:
+            # unrunnable at this n: keep the denominator visible as a NaN row
             return {name: math.nan for name in metric_names}
 
     if workers > 1:

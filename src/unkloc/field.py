@@ -94,10 +94,11 @@ class BandlimitedField:
     def from_dict(cls, data: dict) -> "BandlimitedField":
         try:
             b = int(data["b"])
-            pairs = data["coeffs"]
+            coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"field record must carry 'b' and 'coeffs': {exc}")
-        coeffs = np.array([complex(re, im) for re, im in pairs])
+            raise ValueError(f"field record must carry 'b' and 'coeffs' as [re, im] pairs: {exc}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("field coefficients must be finite")
         return cls(b=b, coeffs=coeffs)
 
     def save(self, path) -> None:

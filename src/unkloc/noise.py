@@ -7,6 +7,7 @@ tests need the higher moments for standard-error budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class NoiseSpec:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown noise family {self.family!r}; choose from {FAMILIES}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ConfigError(f"noise parameters must be finite, got {self.params}")
         n_params = len(self.params)
         if self.family == "uniform":
             if n_params != 1 or self.params[0] < 0:
@@ -99,10 +102,10 @@ class NoiseSpec:
 
     # drawing ---------------------------------------------------------------
 
-    def draw(self, rng: np.random.Generator, size=None):
-        """Noise draw(s); scalar when size is None, ndarray otherwise."""
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size independent noise draws."""
         if self.family == "zero":
-            return 0.0 if size is None else np.zeros(size)
+            return np.zeros(size)
         if self.family == "uniform":
             a = self.params[0]
             return rng.uniform(-a, a, size=size)
@@ -112,11 +115,6 @@ class NoiseSpec:
         sigma = self.params[0]
         cut = self.params[1] if len(self.params) == 2 else DEFAULT_GAUSSIAN_CUT
         bound = cut * sigma
-        if size is None:
-            v = rng.normal(0.0, sigma)
-            while abs(v) > bound:
-                v = rng.normal(0.0, sigma)
-            return v
         v = rng.normal(0.0, sigma, size=size)
         mask = np.abs(v) > bound
         while mask.any():
@@ -135,12 +133,3 @@ class NoiseSpec:
             return cls(str(data["family"]), tuple(data.get("params", ())))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"noise record must carry 'family' and 'params': {exc}")
-
-
-def draw(spec: NoiseSpec, rng: np.random.Generator, size=None):
-    return spec.draw(rng, size=size)
-
-
-def moments(spec: NoiseSpec) -> tuple[float, float, float]:
-    """(variance, fourth moment, variance of W^2)."""
-    return (spec.variance, spec.fourth_moment, spec.var_of_square)

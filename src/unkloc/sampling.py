@@ -9,10 +9,8 @@ comes from Philox, a counter-based 64-bit generator, keyed by a hash of
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -49,16 +47,15 @@ def spawn_rngs(seed: int, streams: int = 2) -> tuple[np.random.Generator, ...]:
 class RenewalSpec:
     """Spacing law: n X has mean 1 and support inside (0, lam].
 
-    lam is pinned by the mean-1 constraint for every family (uniform and
-    triangular force lam = 2, scaled_beta forces lam = (alpha+beta)/alpha,
-    degenerate forces lam = 1); passing an inconsistent value raises.
+    lam is not a parameter: the mean-1 constraint pins it to 2 for uniform
+    and triangular, (alpha+beta)/alpha for scaled_beta and 1 for degenerate.
+    alpha and beta shape scaled_beta only.
     """
 
     n: int
     family: str
-    lam: float
-    alpha: float | None = None
-    beta: float | None = None
+    alpha: float = 2.0
+    beta: float = 2.0
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
@@ -66,22 +63,14 @@ class RenewalSpec:
         object.__setattr__(self, "n", int(self.n))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
-        if self.family in ("uniform", "triangular"):
-            if abs(self.lam - 2.0) > 1e-12:
-                raise ConfigError(f"{self.family} spacings have mean 1 only with lam = 2, got {self.lam}")
-        elif self.family == "scaled_beta":
-            if self.alpha is None or self.beta is None or self.alpha <= 0 or self.beta <= 0:
-                raise ConfigError("scaled_beta needs alpha > 0 and beta > 0")
-            implied = (self.alpha + self.beta) / self.alpha
-            if abs(self.lam - implied) > 1e-12:
-                raise ConfigError(
-                    f"scaled_beta({self.alpha}, {self.beta}) has mean 1 only with lam = {implied}, got {self.lam}"
-                )
-        elif self.family == "degenerate":
-            if abs(self.lam - 1.0) > 1e-12:
-                raise ConfigError("degenerate spacings fix lam = 1")
-        if self.family != "degenerate" and self.lam <= 1.0:
-            raise ConfigError("lam must exceed 1")
+        if self.family == "scaled_beta" and not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ConfigError("scaled_beta needs finite alpha > 0 and beta > 0")
+
+    @property
+    def lam(self) -> float:
+        if self.family == "scaled_beta":
+            return (self.alpha + self.beta) / self.alpha
+        return 1.0 if self.family == "degenerate" else 2.0
 
     @property
     def max_spacing(self) -> float:
@@ -90,24 +79,22 @@ class RenewalSpec:
     @classmethod
     def uniform(cls, n: int) -> "RenewalSpec":
         """n X ~ Uniform(0, 2]."""
-        return cls(n=n, family="uniform", lam=2.0)
+        return cls(n, "uniform")
 
     @classmethod
     def triangular(cls, n: int) -> "RenewalSpec":
         """n X symmetric triangular on (0, 2], mean 1."""
-        return cls(n=n, family="triangular", lam=2.0)
+        return cls(n, "triangular")
 
     @classmethod
-    def scaled_beta(cls, n: int, alpha: float = 2.0, beta: float = 2.0) -> "RenewalSpec":
+    def scaled_beta(cls, n: int, alpha: float, beta: float) -> "RenewalSpec":
         """n X = lam * Beta(alpha, beta) with lam = (alpha+beta)/alpha."""
-        if alpha <= 0 or beta <= 0:
-            raise ConfigError("scaled_beta needs alpha > 0 and beta > 0")
-        return cls(n=n, family="scaled_beta", lam=(alpha + beta) / alpha, alpha=alpha, beta=beta)
+        return cls(n, "scaled_beta", alpha, beta)
 
     @classmethod
     def degenerate(cls, n: int) -> "RenewalSpec":
         """X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)."""
-        return cls(n=n, family="degenerate", lam=1.0)
+        return cls(n, "degenerate")
 
 
 def _draw_block(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -129,11 +116,6 @@ def _draw_block(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.nd
         v[mask] = rng.beta(spec.alpha, spec.beta, size=int(mask.sum()))
         mask = v <= 0.0
     return v * spec.max_spacing
-
-
-def draw_spacing(spec: RenewalSpec, rng: np.random.Generator) -> float:
-    """One spacing X with E[X] = 1/n and 0 < X <= lam/n."""
-    return float(_draw_block(spec, rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -235,13 +217,3 @@ def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,
     """Attach readings y_i = g(S_i) + W_i using the given noise stream."""
     values = field.evaluate(trace.locations)
     return replace(trace, readings=values + noise.draw(rng, size=trace.m))
-
-
-def write_trace_csv(trace: SampleTrace, path) -> None:
-    """Dump rows i, S_i, y_i (y_i blank when no readings are attached)."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "S_i", "y_i"])
-        for i in range(trace.m):
-            y = "" if trace.readings is None else str(trace.readings[i])
-            writer.writerow([i + 1, str(float(trace.locations[i])), y])

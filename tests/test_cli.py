@@ -234,6 +234,48 @@ def test_sweep_missing_config_file(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_scaled_beta_shape_flags_default_per_flag(paper2_file, sweep_config, tmp_path):
+    # unset --alpha/--beta keep the family default of 2, so lam = (alpha + 2) / alpha
+    assert main(["estimate", "--field", str(paper2_file), "--n", "100",
+                 "--renewal", "scaled_beta", "--lambda", "2.0"]) == EXIT_OK
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o"),
+                 "--trials", "1", "--renewal", "scaled_beta", "--alpha", "1.0",
+                 "--lambda", "3.0"]) == EXIT_OK
+
+
+NON_FINITE_FIELD = '{"b": 1, "coeffs": [[Infinity, 0], [0, 0], [Infinity, 0]]}'
+
+
+def test_estimate_rejects_non_finite_field(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(NON_FINITE_FIELD)
+    assert main(["estimate", "--field", str(path), "--n", "100"]) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_finite_field_file(sweep_config, tmp_path, capsys):
+    field = tmp_path / "inf.json"
+    field.write_text(NON_FINITE_FIELD)
+    data = json.loads(sweep_config.read_text())
+    data["field"] = {"source": "file", "path": str(field)}
+    sweep_config.write_text(json.dumps(data))
+    code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", [
+    {"delta": "x"},
+    {"n_grid": 5},
+    {"renewal": {"family": "scaled_beta", "alpha": "x"}},
+    {"field": {"source": "random", "b": "x", "seed": 1}},
+])
+def test_sweep_config_type_errors_exit_usage(sweep_config, tmp_path, patch):
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), **patch}))
+    code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+
+
 # replay ----------------------------------------------------------------------
 
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unkloc import experiments
 from unkloc.errors import ConfigError
 from unkloc.experiments import (
     ExperimentConfig,
@@ -105,6 +108,16 @@ def test_config_rejects_unsorted_grid():
         _config(n_grid=(200, 200))
 
 
+def test_config_rejects_grid_below_lambda():
+    # n X <= lam, so at n < lam the first spacing can pass 1 and leave an
+    # empty trace, which no mode can score
+    with pytest.raises(ConfigError, match="lam = 2"):
+        _config(n_grid=(1, 200))
+    with pytest.raises(ConfigError, match="lam = 4"):
+        _config(renewal=RenewalFamily(kind="scaled_beta", alpha=1.0, beta=3.0), n_grid=(3, 200))
+    assert _config(renewal=RenewalFamily(kind="degenerate"), n_grid=(1, 200)).n_grid[0] == 1
+
+
 def test_config_rejects_unknown_mode():
     with pytest.raises(ConfigError, match="mode"):
         _config(mode="Sweep")
@@ -135,6 +148,61 @@ def test_field_source_file_kind(tmp_path):
         FieldSource(kind="file")
     with pytest.raises(ConfigError):
         FieldSource(kind="random", b=3)  # missing seed
+
+
+def test_renewal_family_takes_the_spec_shape_defaults():
+    family = RenewalFamily.from_dict({"family": "scaled_beta", "alpha": None})
+    assert family.to_dict() == {"family": "scaled_beta", "alpha": 2.0, "beta": 2.0}
+    assert family.spec_for(10).lam == 2.0
+    assert RenewalFamily.from_dict({"family": "scaled_beta", "beta": 6.0}).spec_for(10).lam == 4.0
+    with pytest.raises(ConfigError):
+        RenewalFamily(kind="scaled_beta", alpha=-1.0)
+
+
+def test_config_applies_the_detector_rules_at_load():
+    data = _config().to_dict()
+    for key, value in (("delta", 0.0), ("delta", float("nan")), ("b_max", -1), ("b_max", 2.5)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({**data, key: value})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+# one valid config that exercises every key, nested ones included
+_VALID = {
+    "mode": "BandwidthCurve",
+    "field": {"source": "random", "b": 3, "seed": 5},
+    "renewal": {"family": "scaled_beta", "alpha": 1.5, "beta": 3.0},
+    "noise": {"family": "gaussian", "params": [0.5, 4.0]},
+    "n_grid": [2000, 4000],
+    "trials": 3,
+    "master_seed": 7,
+    "known_b": 3,
+    "delta": 0.2,
+    "b_max": 16,
+    "riemann_k": 1,
+}
+_KEY_PATHS = [(key,) for key in _VALID] + [
+    (record, key) for record in ("field", "renewal", "noise") for key in _VALID[record]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_KEY_PATHS), value=_JSON)
+def test_config_with_any_one_value_replaced_loads_or_raises_config_error(path, value):
+    data = json.loads(json.dumps(_VALID))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        ExperimentConfig.from_dict(data)
+    except ConfigError:
+        pass
 
 
 # running ---------------------------------------------------------------------
@@ -216,6 +284,16 @@ def test_bandwidth_curve_fault_rows_are_nan():
     assert summary[8].count == 0
     assert math.isnan(summary[8].mean)
     assert summary[2000].count == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_other_trial_faults_propagate_out_of_run(monkeypatch, workers):
+    def broken(readings, b):
+        raise RuntimeError("estimator bug")
+
+    monkeypatch.setattr(experiments, "estimate_field", broken)
+    with pytest.raises(RuntimeError, match="estimator bug"):
+        run(_config(), workers=workers)
 
 
 def test_grid_deviation_mode_skips_acquisition():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unkloc.noise import DEFAULT_GAUSSIAN_CUT, NoiseSpec, draw, moments
+from unkloc.noise import DEFAULT_GAUSSIAN_CUT, NoiseSpec
 
 
 def _rng(seed=0):
@@ -15,7 +15,7 @@ def _rng(seed=0):
 
 def test_uniform_moments_closed_form():
     spec = NoiseSpec.uniform_sym(1.0)
-    var, fourth, var_sq = moments(spec)
+    var, fourth, var_sq = spec.variance, spec.fourth_moment, spec.var_of_square
     assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert fourth == pytest.approx(1.0 / 5.0, abs=1e-15)
     # var(W^2) = E[W^4] - var^2 = 1/5 - 1/9 = 4/45
@@ -44,7 +44,7 @@ def test_gaussian_moments():
 
 def test_zero_noise_moments():
     spec = NoiseSpec.zero()
-    assert moments(spec) == (0.0, 0.0, 0.0)
+    assert (spec.variance, spec.fourth_moment, spec.var_of_square) == (0.0, 0.0, 0.0)
 
 
 # sample moments --------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_zero_noise_moments():
 )
 def test_sample_moments_match_declared(spec):
     n = 10**6
-    w = draw(spec, _rng(42), size=n)
+    w = spec.draw(_rng(42), size=n)
     assert w.shape == (n,)
     # mean is 0 with sd sqrt(var/n); 4 sigma slack keeps this deterministic test honest
     assert abs(np.mean(w)) < 4 * np.sqrt(spec.variance / n) + 1e-12
@@ -70,7 +70,7 @@ def test_sample_moments_match_declared(spec):
 
 
 def test_zero_noise_draws_zeros():
-    w = draw(NoiseSpec.zero(), _rng(1), size=100)
+    w = NoiseSpec.zero().draw(_rng(1), size=100)
     assert np.all(w == 0.0)
 
 
@@ -78,12 +78,12 @@ def test_zero_noise_draws_zeros():
 
 
 def test_uniform_support():
-    w = draw(NoiseSpec.uniform_sym(0.25), _rng(3), size=10**5)
+    w = NoiseSpec.uniform_sym(0.25).draw(_rng(3), size=10**5)
     assert np.all(np.abs(w) <= 0.25)
 
 
 def test_rademacher_support_is_two_point():
-    w = draw(NoiseSpec.rademacher(0.7), _rng(4), size=10**5)
+    w = NoiseSpec.rademacher(0.7).draw(_rng(4), size=10**5)
     assert set(np.unique(w)) == {-0.7, 0.7}
     # both signs roughly balanced
     assert abs(np.mean(w > 0) - 0.5) < 0.02
@@ -91,31 +91,22 @@ def test_rademacher_support_is_two_point():
 
 def test_gaussian_truncation_is_hard():
     spec = NoiseSpec.gaussian_truncated(0.5)
-    w = draw(spec, _rng(5), size=10**6)
+    w = spec.draw(_rng(5), size=10**6)
     assert np.all(np.abs(w) <= DEFAULT_GAUSSIAN_CUT * 0.5)
 
 
 def test_gaussian_custom_cut():
     spec = NoiseSpec.gaussian_truncated(1.0, cut=2.0)
-    w = draw(spec, _rng(6), size=10**5)
+    w = spec.draw(_rng(6), size=10**5)
     assert np.all(np.abs(w) <= 2.0)
     # a 2 sigma cut actually bites: the tail should be visibly re-drawn
     assert np.max(np.abs(w)) > 1.9
 
 
-def test_scalar_draw():
-    spec = NoiseSpec.uniform_sym(1.0)
-    w = spec.draw(_rng(7))
-    assert isinstance(w, float)
-    assert abs(w) <= 1.0
-    g = NoiseSpec.gaussian_truncated(0.5).draw(_rng(8))
-    assert isinstance(g, float)
-
-
 def test_draws_are_deterministic_per_seed():
     spec = NoiseSpec.gaussian_truncated(0.5)
-    a = draw(spec, _rng(11), size=1000)
-    b = draw(spec, _rng(11), size=1000)
+    a = spec.draw(_rng(11), size=1000)
+    b = spec.draw(_rng(11), size=1000)
     assert np.array_equal(a, b)
 
 
@@ -131,7 +122,7 @@ def test_zero_scale_degenerates_to_silence():
     # width 0 is allowed and behaves like the zero family
     spec = NoiseSpec.uniform_sym(0.0)
     assert spec.variance == 0.0
-    assert np.all(draw(spec, _rng(9), size=50) == 0.0)
+    assert np.all(spec.draw(_rng(9), size=50) == 0.0)
 
 
 def test_negative_scale_rejected():
@@ -141,6 +132,13 @@ def test_negative_scale_rejected():
         NoiseSpec.rademacher(-1.0)
     with pytest.raises(ValueError):
         NoiseSpec.gaussian_truncated(1.0, cut=0.0)
+
+
+def test_non_finite_params_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec.uniform_sym(float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec.gaussian_truncated(float("nan"))
 
 
 def test_spec_round_trip():

@@ -13,12 +13,10 @@ from unkloc.sampling import (
     SampleTrace,
     _draw_block,
     acquire,
-    draw_spacing,
     generate_trace,
     grid_deviation,
     spawn_rngs,
     trial_seed,
-    write_trace_csv,
 )
 
 FAMILY_SPECS = [
@@ -38,15 +36,16 @@ def _rng(seed=0):
 
 def test_uniform_lambda_is_pinned():
     assert RenewalSpec.uniform(10).lam == 2.0
-    with pytest.raises(ConfigError):
-        RenewalSpec(n=10, family="uniform", lam=3.0)
+    assert RenewalSpec.triangular(10).lam == 2.0
 
 
 def test_scaled_beta_lambda_follows_shape():
     spec = RenewalSpec.scaled_beta(10, alpha=1.0, beta=3.0)
     assert spec.lam == pytest.approx(4.0, abs=1e-12)
-    with pytest.raises(ConfigError):
-        RenewalSpec(n=10, family="scaled_beta", lam=2.5, alpha=1.0, beta=3.0)
+    assert RenewalSpec(10, "scaled_beta").lam == 2.0
+    for alpha, beta in ((0.0, 2.0), (2.0, -1.0), (float("inf"), 2.0), (2.0, float("nan"))):
+        with pytest.raises(ConfigError):
+            RenewalSpec.scaled_beta(10, alpha, beta)
 
 
 def test_degenerate_lambda_is_one():
@@ -55,9 +54,9 @@ def test_degenerate_lambda_is_one():
 
 def test_bad_family_and_n():
     with pytest.raises(ConfigError):
-        RenewalSpec(n=10, family="poisson", lam=2.0)
+        RenewalSpec(n=10, family="poisson")
     with pytest.raises(ConfigError):
-        RenewalSpec(n=0, family="uniform", lam=2.0)
+        RenewalSpec(n=0, family="uniform")
 
 
 def test_max_spacing():
@@ -80,7 +79,6 @@ def test_spacing_support_and_mean(spec):
 
 def test_degenerate_spacing_is_exact():
     spec = RenewalSpec.degenerate(100)
-    assert draw_spacing(spec, _rng(0)) == 0.01
     draws = _draw_block(spec, _rng(0), 50)
     assert np.all(draws == 0.01)
 
@@ -88,7 +86,7 @@ def test_degenerate_spacing_is_exact():
 def test_scalar_spacing_matches_support():
     spec = RenewalSpec.triangular(50)
     for _ in range(100):
-        x = draw_spacing(spec, _rng(_))
+        x = _draw_block(spec, _rng(_), 1)[0]
         assert 0.0 < x <= spec.max_spacing
 
 
@@ -224,7 +222,7 @@ def test_spawned_streams_are_independent():
     for i in range(t):
         trace_rng, noise_rng = spawn_rngs(trial_seed(0, 100, i))
         a[i] = generate_trace(spec, trace_rng).overshoot
-        b[i] = noise.draw(noise_rng)
+        b[i] = noise.draw(noise_rng, size=1)[0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
 
@@ -237,20 +235,3 @@ def test_spawn_rngs_reproducible():
     # and the two streams differ from each other
     r1, r2 = spawn_rngs(987654321)
     assert not np.array_equal(r1.random(10), r2.random(10))
-
-
-# trace csv -------------------------------------------------------------------
-
-
-def test_write_trace_csv(tmp_path):
-    field = reference_field("paper1")
-    trace = generate_trace(RenewalSpec.uniform(50), _rng(6))
-    read = acquire(trace, field, NoiseSpec.zero(), _rng(7))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(read, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,S_i,y_i"
-    assert len(lines) == read.m + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == read.locations[0]
