@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, whole
 from .estimator import _check_readings, energy_estimate, harmonic_pairs
 
 
@@ -25,16 +25,12 @@ class BandwidthConfig:
     b_max: int = 64
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ConfigError("delta must be positive")
+        if not (isinstance(self.delta, (int, float)) and self.delta > 0):
+            raise ConfigError(f"delta must be a positive number, got {self.delta!r}")
         if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be non-negative")
-        if int(self.n) != self.n or self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
-        if int(self.b_max) != self.b_max or self.b_max < 0:
-            raise ConfigError("b_max must be a non-negative integer")
-        object.__setattr__(self, "b_max", int(self.b_max))
+        object.__setattr__(self, "n", whole("n", self.n, 1))
+        object.__setattr__(self, "b_max", whole("b_max", self.b_max, 0))
 
     @property
     def threshold(self) -> float:

@@ -1,6 +1,18 @@
-"""Shared exception types."""
+"""Shared exception type and the integer check every config record uses."""
 
 
 class ConfigError(ValueError):
     """Invalid configuration: bad family parameters, malformed config files,
     or preconditions (like threshold positivity) that make a run meaningless."""
+
+
+def whole(name: str, value, low: int | None = None) -> int:
+    """value as an int; a ConfigError naming it unless value is a whole
+    number (at least low, when low is given)."""
+    try:
+        if int(value) == value and (low is None or value >= low):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if low is None else f" >= {low}"
+    raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")

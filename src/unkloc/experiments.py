@@ -2,9 +2,10 @@
 
 Each (n, trial) cell gets its own 64-bit seed hashed from the experiment
 seed, so any cell can be replayed bit-exactly in isolation.  A trial whose
-config is unrunnable at its n (a detection threshold that is not positive)
-becomes NaN-valued rows rather than aborting the sweep; summary counts then
-show the surviving denominator.  Any other fault propagates.
+config is unrunnable at its n (a detection threshold that is not positive,
+or a law that hits the redraw bound) becomes NaN-valued rows rather than
+aborting the sweep; summary counts then show the surviving denominator.
+Any other fault propagates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
-from .errors import ConfigError
+from .errors import ConfigError, whole
 from .estimator import energy_estimate, estimate_field, riemann_coefficient
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
@@ -143,28 +144,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 1 for n in grid):
-            raise ConfigError("n_grid must hold positive integers")
-        if any(b >= a for b, a in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        grid = tuple(whole("n_grid entry", n, 1) for n in self.n_grid)
+        if not grid or any(b >= a for b, a in zip(grid, grid[1:])):
+            raise ConfigError("n_grid must be a non-empty, strictly increasing list")
         lam = self.renewal.spec_for(grid[0]).lam
         if grid[0] < lam:
-            raise ConfigError(f"n_grid must start at n >= lam = {lam:g}; below it a trace can hold no sample")
+            raise ConfigError(f"n_grid must start at n >= lam = {lam:g} of the {self.renewal.kind} renewal law; "
+                              "below it a trace can hold no sample")
         object.__setattr__(self, "n_grid", grid)
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "trials", whole("trials", self.trials, 1))
+        object.__setattr__(self, "master_seed", whole("master_seed", self.master_seed))
         if self.known_b is not None:
-            if int(self.known_b) != self.known_b or self.known_b < 0:
-                raise ConfigError("known_b must be a non-negative integer")
-            object.__setattr__(self, "known_b", int(self.known_b))
+            object.__setattr__(self, "known_b", whole("known_b", self.known_b, 0))
         # BandwidthConfig owns the delta and b_max rules; a probe applies them at load
         BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
-        if int(self.riemann_k) != self.riemann_k:
-            raise ConfigError("riemann_k must be an integer")
-        object.__setattr__(self, "riemann_k", int(self.riemann_k))
+        object.__setattr__(self, "riemann_k", whole("riemann_k", self.riemann_k))
 
     def to_dict(self) -> dict:
         out = {
@@ -192,33 +188,33 @@ class ExperimentConfig:
         for key in ("mode", "field", "renewal", "noise", "n_grid"):
             if key not in data:
                 raise ConfigError(f"experiment config is missing {key!r}")
-        for key in ("field", "renewal", "noise"):
-            if not isinstance(data[key], dict):
-                raise ConfigError(f"experiment config entry {key!r} must be a mapping")
         known = {"mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed",
                  "known_b", "delta", "b_max", "riemann_k"}
         stray = set(data) - known
         if stray:
             raise ConfigError(f"unknown config keys: {sorted(stray)}")
-        try:
-            return cls(
-                mode=str(data["mode"]),
-                field_source=FieldSource.from_dict(data["field"]),
-                renewal=RenewalFamily.from_dict(data["renewal"]),
-                noise=NoiseSpec.from_dict(data["noise"]),
-                n_grid=tuple(data["n_grid"]),
-                trials=data.get("trials", 1000),
-                master_seed=data.get("master_seed", 0),
-                known_b=data.get("known_b"),
-                delta=data.get("delta", 0.1),
-                b_max=data.get("b_max", 64),
-                riemann_k=data.get("riemann_k", 0),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            # a value of the wrong JSON type, such as "delta": "x" or "trials": NaN
-            raise ConfigError(f"malformed experiment config: {exc}") from exc
+        records = {}
+        for key, parse in (("field", FieldSource.from_dict), ("renewal", RenewalFamily.from_dict),
+                           ("noise", NoiseSpec.from_dict)):
+            if not isinstance(data[key], dict):
+                raise ConfigError(f"experiment config entry {key!r} must be a mapping")
+            try:
+                records[key] = parse(data[key])
+            except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
+                raise ConfigError(f"config entry {key!r}: {exc}") from exc
+        return cls(
+            mode=str(data["mode"]),
+            field_source=records["field"],
+            renewal=records["renewal"],
+            noise=records["noise"],
+            n_grid=data["n_grid"],
+            trials=data.get("trials", 1000),
+            master_seed=data.get("master_seed", 0),
+            known_b=data.get("known_b"),
+            delta=data.get("delta", 0.1),
+            b_max=data.get("b_max", 64),
+            riemann_k=data.get("riemann_k", 0),
+        )
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

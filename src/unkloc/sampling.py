@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, whole
 from .field import BandlimitedField
-from .noise import NoiseSpec
-
-FAMILIES = ("uniform", "triangular", "scaled_beta", "degenerate")
+from .noise import NoiseSpec, redraw
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,9 +46,8 @@ def spawn_rngs(seed: int, streams: int = 2) -> tuple[np.random.Generator, ...]:
 class RenewalSpec:
     """Spacing law: n X has mean 1 and support inside (0, lam].
 
-    lam is not a parameter: the mean-1 constraint pins it to 2 for uniform
-    and triangular, (alpha+beta)/alpha for scaled_beta and 1 for degenerate.
-    alpha and beta shape scaled_beta only.
+    lam is not a parameter: the mean-1 constraint pins it, through the
+    family's row of ``_LAWS``.  alpha and beta shape scaled_beta only.
     """
 
     n: int
@@ -58,19 +56,15 @@ class RenewalSpec:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
-        if self.family not in FAMILIES:
+        object.__setattr__(self, "n", whole("n", self.n, 1))
+        if self.family not in _LAWS:
             raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
-        if self.family == "scaled_beta" and not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ConfigError("scaled_beta needs finite alpha > 0 and beta > 0")
+        if not self.lam < math.inf:  # the scaled_beta rule refuses a bad shape first
+            raise ConfigError(f"{self.family} renewal law with alpha={self.alpha}, beta={self.beta} has no finite lam")
 
     @property
     def lam(self) -> float:
-        if self.family == "scaled_beta":
-            return (self.alpha + self.beta) / self.alpha
-        return 1.0 if self.family == "degenerate" else 2.0
+        return _LAWS[self.family].lam(self.alpha, self.beta)
 
     @property
     def max_spacing(self) -> float:
@@ -81,41 +75,36 @@ class RenewalSpec:
         """n X ~ Uniform(0, 2]."""
         return cls(n, "uniform")
 
-    @classmethod
-    def triangular(cls, n: int) -> "RenewalSpec":
-        """n X symmetric triangular on (0, 2], mean 1."""
-        return cls(n, "triangular")
 
-    @classmethod
-    def scaled_beta(cls, n: int, alpha: float, beta: float) -> "RenewalSpec":
-        """n X = lam * Beta(alpha, beta) with lam = (alpha+beta)/alpha."""
-        return cls(n, "scaled_beta", alpha, beta)
+def _beta_lam(alpha: float, beta: float) -> float:
+    """n X = lam * Beta(alpha, beta) has mean 1 at lam = (alpha+beta)/alpha."""
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ConfigError(f"scaled_beta needs finite alpha > 0 and beta > 0, got {alpha!r}, {beta!r}")
+    return (alpha + beta) / alpha
 
-    @classmethod
-    def degenerate(cls, n: int) -> "RenewalSpec":
-        """X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)."""
-        return cls(n, "degenerate")
+
+class _Law(NamedTuple):
+    lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta)
+    draw: Callable[[RenewalSpec, np.random.Generator, int], np.ndarray]  # size spacings X
+
+
+_LAWS = {
+    # 1 - U[0,1) lands in (0, 1], keeping the support strictly positive
+    "uniform": _Law(lambda a, b: 2.0, lambda spec, rng, size: (1.0 - rng.random(size)) * spec.max_spacing),
+    # n X symmetric triangular on (0, 2], mean 1
+    "triangular": _Law(lambda a, b: 2.0, lambda spec, rng, size: redraw(
+        lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), size, lambda v: v <= 0.0, spec) / spec.n),
+    "scaled_beta": _Law(_beta_lam, lambda spec, rng, size: redraw(
+        lambda k: rng.beta(spec.alpha, spec.beta, size=k), size, lambda v: v <= 0.0, spec) * spec.max_spacing),
+    # X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)
+    "degenerate": _Law(lambda a, b: 1.0, lambda spec, rng, size: np.full(size, 1.0 / spec.n)),
+}
+
+FAMILIES = tuple(_LAWS)
 
 
 def _draw_block(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    if spec.family == "degenerate":
-        return np.full(size, 1.0 / spec.n)
-    if spec.family == "uniform":
-        # 1 - U[0,1) lands in (0, 1], keeping the support strictly positive
-        return (1.0 - rng.random(size)) * spec.max_spacing
-    if spec.family == "triangular":
-        v = rng.triangular(0.0, 1.0, 2.0, size=size)
-        mask = v <= 0.0
-        while mask.any():
-            v[mask] = rng.triangular(0.0, 1.0, 2.0, size=int(mask.sum()))
-            mask = v <= 0.0
-        return v / spec.n
-    v = rng.beta(spec.alpha, spec.beta, size=size)
-    mask = v <= 0.0
-    while mask.any():
-        v[mask] = rng.beta(spec.alpha, spec.beta, size=int(mask.sum()))
-        mask = v <= 0.0
-    return v * spec.max_spacing
+    return _LAWS[spec.family].draw(spec, rng, size)
 
 
 @dataclass(frozen=True)

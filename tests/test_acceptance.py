@@ -100,7 +100,7 @@ def test_grid_deviation_scales_like_one_over_n():
         mode="GridDeviation",
         field_source=FieldSource(kind="paper1"),
         renewal=RenewalFamily(kind="uniform"),
-        noise=NoiseSpec.zero(),
+        noise=NoiseSpec("zero"),
         n_grid=(1000, 10_000, 100_000),
         trials=1000,
         master_seed=SEED,
@@ -150,8 +150,8 @@ def test_noiseless_regular_sampling_recovers_exactly():
     worst = 0.0
     for field in fields:
         for n in (2 * field.b + 1, 201):
-            trace = generate_trace(RenewalSpec.degenerate(n), np.random.default_rng(0))
-            read = acquire(trace, field, NoiseSpec.zero(), np.random.default_rng(0))
+            trace = generate_trace(RenewalSpec(n, "degenerate"), np.random.default_rng(0))
+            read = acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0))
             est_coeffs = np.array(
                 [estimate_coefficient(read.readings, k) for k in range(-field.b, field.b + 1)]
             )

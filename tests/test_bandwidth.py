@@ -89,8 +89,8 @@ def test_stop_band_default_is_half_delta_squared():
 
 
 def _clean_readings(field, n=2000):
-    trace = generate_trace(RenewalSpec.degenerate(n), np.random.default_rng(0))
-    return acquire(trace, field, NoiseSpec.zero(), np.random.default_rng(0)).readings
+    trace = generate_trace(RenewalSpec(n, "degenerate"), np.random.default_rng(0))
+    return acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0)).readings
 
 
 def test_detects_constant_field():

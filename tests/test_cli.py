@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unkloc
+from unkloc import noise, sampling
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
 from unkloc.field import BandlimitedField
 
@@ -17,6 +21,13 @@ from unkloc.field import BandlimitedField
 def paper2_file(tmp_path):
     path = tmp_path / "paper2.json"
     assert main(["field-gen", "paper2", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.fixture(scope="module")
+def paper1_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fields") / "paper1.json"
+    assert main(["field-gen", "paper1", "--out", str(path)]) == EXIT_OK
     return path
 
 
@@ -135,6 +146,40 @@ def test_estimate_rejects_bad_noise_token(paper2_file, capsys):
                  "--noise", "uniform:abc"])
     assert code == EXIT_USAGE
     assert "noise" in capsys.readouterr().err
+    # a finite half-width whose fourth power overflows is refused at parse time
+    code = main(["detect", "--field", str(paper2_file), "--n", "100000",
+                 "--noise", "uniform:1e200"])
+    assert code == EXIT_USAGE
+    assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--renewal", "scaled_beta", "--alpha", "1e-300"],  # Beta(1e-300, 2) underflows to 0
+    ["--noise", "gaussian:1:1e-300"],  # a cut of 1e-300 sigma accepts no draw
+])
+def test_estimate_refuses_a_law_that_never_accepts(paper2_file, capsys, flags):
+    start = time.perf_counter()
+    code = main(["estimate", "--field", str(paper2_file), "--n", "100", *flags])
+    assert code == EXIT_USAGE
+    assert "redrawing" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0  # bounded: about 0.2 s on 2 cores
+
+
+_PARAM = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_SHAPE = st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(noise.FAMILIES), params=st.lists(_PARAM, max_size=2),
+       renewal=st.sampled_from(sampling.FAMILIES), alpha=_SHAPE, beta=_SHAPE)
+def test_estimate_fuzz_exits_ok_or_usage(paper1_path, family, params, renewal, alpha, beta):
+    token = ":".join([family, *map(repr, params)])
+    argv = ["estimate", "--field", str(paper1_path), "--n", "64", "--noise", token,
+            "--renewal", renewal, "--out", os.devnull]
+    for flag, value in (("--alpha", alpha), ("--beta", beta)):
+        if value is not None:
+            argv += [flag, repr(value)]
+    assert main(argv) in (EXIT_OK, EXIT_USAGE)
 
 
 # detect ----------------------------------------------------------------------
@@ -269,11 +314,13 @@ def test_sweep_rejects_non_finite_field_file(sweep_config, tmp_path, capsys):
     {"n_grid": 5},
     {"renewal": {"family": "scaled_beta", "alpha": "x"}},
     {"field": {"source": "random", "b": "x", "seed": 1}},
+    {"noise": {"family": "uniform", "params": [1e200]}, "mode": "EnergyMSE"},  # moments overflow
 ])
-def test_sweep_config_type_errors_exit_usage(sweep_config, tmp_path, patch):
+def test_sweep_config_type_errors_exit_usage(sweep_config, tmp_path, capsys, patch):
     sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), **patch}))
     code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
+    assert next(iter(patch)) in capsys.readouterr().err  # the error names the offending key
 
 
 # replay ----------------------------------------------------------------------

@@ -179,8 +179,8 @@ def _fd_constant(field, k, grid=8192):
 
 def test_degenerate_noiseless_recovery_is_float_exact():
     field = reference_field("paper1")
-    trace = generate_trace(RenewalSpec.degenerate(100), np.random.default_rng(0))
-    read = acquire(trace, field, NoiseSpec.zero(), np.random.default_rng(0))
+    trace = generate_trace(RenewalSpec(100, "degenerate"), np.random.default_rng(0))
+    read = acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0))
     est = estimate_field(read.readings, field.b)
     for k in range(-3, 4):
         assert abs(est.coefficient(k) - field.coefficient(k)) < 1e-12

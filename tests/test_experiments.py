@@ -201,8 +201,8 @@ def test_config_with_any_one_value_replaced_loads_or_raises_config_error(path, v
     target[path[-1]] = value
     try:
         ExperimentConfig.from_dict(data)
-    except ConfigError:
-        pass
+    except ConfigError as exc:
+        assert path[0] in str(exc)  # the error names the config key it is about
 
 
 # running ---------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_distortion_sweep_has_positive_slope_fit():
 
 
 def test_noiseless_degenerate_sweep_hits_slope_floor():
-    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec.zero(),
+    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec("zero"),
                   trials=2)
     result = run(cfg)
     for row in result.rows:
@@ -297,7 +297,7 @@ def test_other_trial_faults_propagate_out_of_run(monkeypatch, workers):
 
 
 def test_grid_deviation_mode_skips_acquisition():
-    cfg = _config(mode="GridDeviation", noise=NoiseSpec.zero(), trials=3)
+    cfg = _config(mode="GridDeviation", noise=NoiseSpec("zero"), trials=3)
     result = run(cfg)
     for row in result.rows:
         assert row.metric == "grid_deviation"
@@ -373,7 +373,7 @@ def test_slope_json(tmp_path):
 
 
 def test_slope_json_records_note_when_unfit(tmp_path):
-    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec.zero(),
+    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec("zero"),
                   trials=2)
     result = run(cfg)
     path = tmp_path / "slope.json"

@@ -29,21 +29,21 @@ def test_uniform_moments_scale():
 
 
 def test_rademacher_moments():
-    spec = NoiseSpec.rademacher(0.5)
+    spec = NoiseSpec("rademacher", (0.5,))
     assert spec.variance == 0.25
     assert spec.fourth_moment == 0.0625
     assert spec.var_of_square == 0.0  # W^2 is constant
 
 
 def test_gaussian_moments():
-    spec = NoiseSpec.gaussian_truncated(0.5)
+    spec = NoiseSpec("gaussian", (0.5,))
     assert spec.variance == 0.25
     assert spec.fourth_moment == pytest.approx(3 * 0.25**2, abs=1e-12)
     assert spec.var_of_square == pytest.approx(2 * 0.25**2, abs=1e-12)
 
 
 def test_zero_noise_moments():
-    spec = NoiseSpec.zero()
+    spec = NoiseSpec("zero")
     assert (spec.variance, spec.fourth_moment, spec.var_of_square) == (0.0, 0.0, 0.0)
 
 
@@ -55,8 +55,8 @@ def test_zero_noise_moments():
     [
         NoiseSpec.uniform_sym(1.0),
         NoiseSpec.uniform_sym(0.3),
-        NoiseSpec.rademacher(0.7),
-        NoiseSpec.gaussian_truncated(0.5),
+        NoiseSpec("rademacher", (0.7,)),
+        NoiseSpec("gaussian", (0.5,)),
     ],
 )
 def test_sample_moments_match_declared(spec):
@@ -70,7 +70,7 @@ def test_sample_moments_match_declared(spec):
 
 
 def test_zero_noise_draws_zeros():
-    w = NoiseSpec.zero().draw(_rng(1), size=100)
+    w = NoiseSpec("zero").draw(_rng(1), size=100)
     assert np.all(w == 0.0)
 
 
@@ -83,20 +83,20 @@ def test_uniform_support():
 
 
 def test_rademacher_support_is_two_point():
-    w = NoiseSpec.rademacher(0.7).draw(_rng(4), size=10**5)
+    w = NoiseSpec("rademacher", (0.7,)).draw(_rng(4), size=10**5)
     assert set(np.unique(w)) == {-0.7, 0.7}
     # both signs roughly balanced
     assert abs(np.mean(w > 0) - 0.5) < 0.02
 
 
 def test_gaussian_truncation_is_hard():
-    spec = NoiseSpec.gaussian_truncated(0.5)
+    spec = NoiseSpec("gaussian", (0.5,))
     w = spec.draw(_rng(5), size=10**6)
     assert np.all(np.abs(w) <= DEFAULT_GAUSSIAN_CUT * 0.5)
 
 
 def test_gaussian_custom_cut():
-    spec = NoiseSpec.gaussian_truncated(1.0, cut=2.0)
+    spec = NoiseSpec("gaussian", (1.0, 2.0))
     w = spec.draw(_rng(6), size=10**5)
     assert np.all(np.abs(w) <= 2.0)
     # a 2 sigma cut actually bites: the tail should be visibly re-drawn
@@ -104,7 +104,7 @@ def test_gaussian_custom_cut():
 
 
 def test_draws_are_deterministic_per_seed():
-    spec = NoiseSpec.gaussian_truncated(0.5)
+    spec = NoiseSpec("gaussian", (0.5,))
     a = spec.draw(_rng(11), size=1000)
     b = spec.draw(_rng(11), size=1000)
     assert np.array_equal(a, b)
@@ -129,24 +129,29 @@ def test_negative_scale_rejected():
     with pytest.raises(ValueError):
         NoiseSpec.uniform_sym(-0.5)
     with pytest.raises(ValueError):
-        NoiseSpec.rademacher(-1.0)
+        NoiseSpec("rademacher", (-1.0,))
     with pytest.raises(ValueError):
-        NoiseSpec.gaussian_truncated(1.0, cut=0.0)
+        NoiseSpec("gaussian", (1.0, 0.0))
 
 
 def test_non_finite_params_rejected():
     with pytest.raises(ValueError, match="finite"):
         NoiseSpec.uniform_sym(float("inf"))
     with pytest.raises(ValueError, match="finite"):
-        NoiseSpec.gaussian_truncated(float("nan"))
+        NoiseSpec("gaussian", (float("nan"),))
+    # finite, but the moments overflow
+    with pytest.raises(ValueError, match="overflow"):
+        NoiseSpec.uniform_sym(1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        NoiseSpec("gaussian", (1e77,))  # 3 * sigma**4 is inf
 
 
 def test_spec_round_trip():
     for spec in (
         NoiseSpec.uniform_sym(0.4),
-        NoiseSpec.gaussian_truncated(0.2, cut=4.0),
-        NoiseSpec.rademacher(1.0),
-        NoiseSpec.zero(),
+        NoiseSpec("gaussian", (0.2, 4.0)),
+        NoiseSpec("rademacher", (1.0,)),
+        NoiseSpec("zero"),
     ):
         again = NoiseSpec.from_dict(spec.to_dict())
         assert again == spec
