@@ -29,6 +29,10 @@ class BandwidthConfig:
             raise ConfigError(f"delta must be a positive number, got {self.delta!r}")
         if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be non-negative")
+        try:  # the stop band and the bound on n in validate_runnable's message
+            0.5 * self.delta**2 + (1.0 / self.delta) ** 3
+        except OverflowError:
+            raise ConfigError(f"delta = {self.delta!r} overflows delta**2 or (1/delta)**3")
         object.__setattr__(self, "n", whole("n", self.n, 1))
         object.__setattr__(self, "b_max", whole("b_max", self.b_max, 0))
 

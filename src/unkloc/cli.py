@@ -18,7 +18,8 @@ from .errors import ConfigError
 from .estimator import estimate_field
 from .experiments import (
     ExperimentConfig,
-    RenewalFamily,
+    FieldSource,
+    load_record,
     load_rows_csv,
     run,
     run_trial,
@@ -26,9 +27,8 @@ from .experiments import (
     write_slope_json,
     write_summary_csv,
 )
-from .field import BandlimitedField, distortion, random_field, reference_field
-from .noise import NoiseSpec
-from .sampling import FAMILIES as RENEWAL_FAMILIES, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+from .field import distortion
+from .sampling import FAMILIES as RENEWAL_FAMILIES, acquire, generate_trace, spawn_rngs, trial_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,24 +36,30 @@ EXIT_CAP = 3
 EXIT_FAULT = 4
 
 
-def _parse_noise(token: str) -> NoiseSpec:
-    """'uniform:1.0', 'gaussian:0.5[:cut]', 'rademacher:0.5', 'zero'."""
-    parts = token.split(":")
-    family = parts[0]
+def _noise_record(token: str) -> dict:
+    """'uniform:1.0', 'gaussian:0.5[:cut]', 'rademacher:0.5', 'zero' as a noise record."""
+    family, *params = token.split(":")
     try:
-        params = tuple(float(p) for p in parts[1:])
+        return {"family": family, "params": [float(p) for p in params]}
     except ValueError:
         raise ConfigError(f"bad noise parameter in {token!r}")
-    return NoiseSpec(family, params)
 
 
-def _check_lambda(lam: float | None, spec: RenewalSpec) -> None:
-    """--lambda may only restate the support bound the mean-1 constraint pins."""
-    if lam is not None and abs(lam - spec.lam) > 1e-12:
-        raise ConfigError(
-            f"--lambda {lam} conflicts with the mean-1 constraint for "
-            f"{spec.family} (lam = {spec.lam})"
-        )
+def _patched(record, **flags):
+    """record with every flag the user set (not None) written over its
+    entries; a record that is not a mapping is left for its parser to refuse."""
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return {**record, **flags} if flags and isinstance(record, dict) else record
+
+
+def _config(args, record: dict, **entries) -> ExperimentConfig:
+    """The one path from flags to a config: the flags the user set are written
+    into record, which is parsed once.  --renewal and --noise replace their
+    records, --alpha/--beta patch the renewal one, entries the top level."""
+    renewal = {"family": args.renewal} if args.renewal else record.get("renewal")
+    noise = None if args.noise is None else _noise_record(args.noise)
+    return ExperimentConfig.from_dict(_patched(
+        record, renewal=_patched(renewal, alpha=args.alpha, beta=args.beta), noise=noise, **entries))
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -65,38 +71,26 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_field_gen(args) -> int:
-    if args.source:
-        if args.b is not None or args.seed is not None:
-            raise ConfigError("give either a built-in field name or --b/--seed, not both")
-        field = reference_field(args.source)
-    else:
-        if args.b is None or args.seed is None:
-            raise ConfigError("random field needs both --b and --seed")
-        field = random_field(args.b, args.seed)
-    field.save(args.out)
+    # an unset flag is a null entry, which the field parser treats as absent
+    record = {"source": args.source or "random", "b": args.b, "seed": args.seed}
+    FieldSource.from_dict(record).resolve().save(args.out)
     return EXIT_OK
 
 
-def _renewal_record(args) -> dict:
-    """--renewal/--alpha/--beta as a config renewal record; an unset shape
-    (None) keeps the family default."""
-    return {"family": args.renewal, "alpha": args.alpha, "beta": args.beta}
-
-
-def _simulated_readings(args):
-    truth = BandlimitedField.load(args.field)
-    spec = RenewalFamily.from_dict(_renewal_record(args)).spec_for(args.n)
-    _check_lambda(args.lam, spec)
-    noise = _parse_noise(args.noise)
+def _simulated_readings(args, mode: str, **entries):
+    """A one-cell config from the flags, and one trace read with the raw --seed."""
+    config = _config(args, {"mode": mode, "field": {"source": "file", "path": args.field},
+                            "renewal": {"family": "uniform"}, "noise": {"family": "zero"},
+                            "n_grid": [args.n]}, **entries)
+    truth = config.field_source.resolve()
     rng_trace, rng_noise = spawn_rngs(args.seed)
-    trace = generate_trace(spec, rng_trace)
-    trace = acquire(trace, truth, noise, rng_noise)
-    return truth, noise, trace
+    trace = generate_trace(config.renewal.spec_for(args.n), rng_trace)
+    return config, truth, acquire(trace, truth, config.noise, rng_noise)
 
 
 def cmd_estimate(args) -> int:
-    truth, _, trace = _simulated_readings(args)
-    b = truth.b if args.b is None else args.b
+    config, truth, trace = _simulated_readings(args, "DistortionSweep", known_b=args.b)
+    b = truth.b if config.known_b is None else config.known_b
     est = estimate_field(trace.readings, b)
     payload = {
         "n": args.n,
@@ -111,48 +105,30 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _, noise, trace = _simulated_readings(args)
-    config = BandwidthConfig(delta=args.delta, sigma2=noise.variance, n=args.n, b_max=args.b_max)
-    outcome = detect_bandwidth(trace.readings, config)
+    config, _, trace = _simulated_readings(args, "BandwidthCurve", delta=args.delta, b_max=args.b_max)
+    outcome = detect_bandwidth(trace.readings, BandwidthConfig(
+        delta=config.delta, sigma2=config.noise.variance, n=args.n, b_max=config.b_max))
     payload = outcome.to_dict()
-    payload.update(n=args.n, seed=args.seed, delta=args.delta)
+    payload.update(n=args.n, seed=args.seed, delta=config.delta)
     _emit(payload, args.out)
     return EXIT_OK if outcome.status == "Stopped" else EXIT_CAP
 
 
-def _config_with_overrides(args) -> ExperimentConfig:
-    config = ExperimentConfig.load(args.config)
-    data = config.to_dict()
-    if args.n:
-        data["n_grid"] = [int(tok) for tok in args.n.split(",")]
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.delta is not None:
-        data["delta"] = args.delta
-    if args.renewal is not None:
-        data["renewal"] = _renewal_record(args)
-    if args.lam is not None:
-        probe = ExperimentConfig.from_dict(data)
-        _check_lambda(args.lam, probe.renewal.spec_for(probe.n_grid[0]))
-    if args.noise is not None:
-        data["noise"] = _parse_noise(args.noise).to_dict()
-    return ExperimentConfig.from_dict(data)
-
-
 def _workers_from_env() -> int:
+    """UNKLOC_THREADS, capped at the CPU count (the pool may start a thread per cell)."""
     raw = os.environ.get("UNKLOC_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), os.cpu_count() or 1)
     except ValueError:
         raise ConfigError(f"UNKLOC_THREADS must be an integer, got {raw!r}")
 
 
 def cmd_sweep(args) -> int:
-    config = _config_with_overrides(args)
+    n_grid = [int(tok) for tok in args.n.split(",")] if args.n else None
+    config = _config(args, load_record(args.config), n_grid=n_grid, trials=args.trials,
+                     master_seed=args.seed, delta=args.delta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run(config, workers=_workers_from_env())
@@ -213,29 +189,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_field_gen)
 
-    def sim_flags(p, with_b=False):
-        p.add_argument("--field", required=True, help="coefficient file of the truth field")
-        p.add_argument("--n", type=int, required=True, help="nominal sampling density")
-        p.add_argument("--renewal", default="uniform", choices=RENEWAL_FAMILIES)
+    def record_flags(p):
+        """Flags that patch the config record; unset, they leave it alone."""
+        p.add_argument("--renewal", choices=RENEWAL_FAMILIES, help="replaces the renewal record")
         p.add_argument("--alpha", type=float, help="scaled_beta alpha")
         p.add_argument("--beta", type=float, help="scaled_beta beta")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="spacing support bound (validated against the family)")
-        p.add_argument("--noise", default="zero", help="e.g. uniform:1.0, gaussian:0.5, zero")
+        p.add_argument("--noise", help="replaces the noise record, e.g. uniform:1.0, gaussian:0.5, zero")
+
+    def sim_flags(p):
+        p.add_argument("--field", required=True, help="coefficient file of the truth field")
+        p.add_argument("--n", type=int, required=True, help="nominal sampling density")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        if with_b:
-            p.add_argument("--b", type=int, default=None,
-                           help="estimation bandwidth (default: truth bandwidth)")
+        record_flags(p)
 
     p = sub.add_parser("estimate", help="estimate coefficients at known bandwidth")
-    sim_flags(p, with_b=True)
+    sim_flags(p)
+    p.add_argument("--b", type=int, help="estimation bandwidth (default: truth bandwidth)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("detect", help="detect the bandwidth")
     sim_flags(p)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--b-max", dest="b_max", type=int, default=64)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--b-max", dest="b_max", type=int)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep from a config file")
@@ -245,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--renewal", default=None, choices=RENEWAL_FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--noise", default=None)
+    record_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="re-run one (n, trial) cell from its derived seed")

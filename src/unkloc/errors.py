@@ -8,9 +8,9 @@ class ConfigError(ValueError):
 
 def whole(name: str, value, low: int | None = None) -> int:
     """value as an int; a ConfigError naming it unless value is a whole
-    number (at least low, when low is given)."""
+    number (at least low, when low is given) and not a boolean."""
     try:
-        if int(value) == value and (low is None or value >= low):
+        if not isinstance(value, bool) and int(value) == value and (low is None or value >= low):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

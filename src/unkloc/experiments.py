@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,18 @@ DECAY_MODES = ("DistortionSweep", "EnergyMSE")
 SLOPE_FLOOR = 1e-25
 
 
+def _refuse_unread(record: dict, what: str, reads: tuple[str, ...]) -> None:
+    """A ConfigError naming every entry of record that is set (not null)
+    but is not one of the keys in reads."""
+    unread = sorted(key for key, value in record.items() if value is not None and key not in reads)
+    if unread:
+        raise ConfigError(f"{what} does not read {unread}")
+
+
+# the record keys each field source reads besides "source"
+_SOURCE_KEYS = {"paper1": (), "paper2": (), "random": ("b", "seed"), "file": ("path",)}
+
+
 @dataclass(frozen=True)
 class FieldSource:
     """Where the truth field comes from: a built-in set, a seeded random
@@ -56,17 +68,13 @@ class FieldSource:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("paper1", "paper2"):
-            return
+        if self.kind not in _SOURCE_KEYS:
+            raise ConfigError(f"unknown field source {self.kind!r}; choose from {tuple(_SOURCE_KEYS)}")
         if self.kind == "random":
-            if not (isinstance(self.b, int) and self.b >= 0 and isinstance(self.seed, int)):
-                raise ConfigError("random field source needs an integer b >= 0 and an integer seed")
-            return
-        if self.kind == "file":
-            if not (isinstance(self.path, str) and self.path):
-                raise ConfigError("file field source needs a path")
-            return
-        raise ConfigError(f"unknown field source {self.kind!r}")
+            object.__setattr__(self, "b", whole("b", self.b, 0))
+            object.__setattr__(self, "seed", whole("seed", self.seed))
+        if self.kind == "file" and not (isinstance(self.path, str) and self.path):
+            raise ConfigError("file field source needs a path")
 
     def resolve(self) -> BandlimitedField:
         if self.kind in ("paper1", "paper2"):
@@ -76,24 +84,16 @@ class FieldSource:
         return BandlimitedField.load(self.path)
 
     def to_dict(self) -> dict:
-        out = {"source": self.kind}
-        if self.kind == "random":
-            out.update(b=self.b, seed=self.seed)
-        elif self.kind == "file":
-            out.update(path=self.path)
-        return out
+        return {"source": self.kind, **{key: getattr(self, key) for key in _SOURCE_KEYS[self.kind]}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSource":
         kind = data.get("source")
         if kind is None:
             raise ConfigError("field record needs a 'source' entry")
-        return cls(
-            kind=str(kind),
-            b=data.get("b"),
-            seed=data.get("seed"),
-            path=data.get("path"),
-        )
+        source = cls(kind=str(kind), b=data.get("b"), seed=data.get("seed"), path=data.get("path"))
+        _refuse_unread(data, f"{source.kind} field source", ("source", *_SOURCE_KEYS[source.kind]))
+        return source
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,15 @@ class RenewalFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalFamily":
-        """A missing or null alpha/beta takes the RenewalSpec default."""
+        """A missing or null alpha/beta takes the RenewalSpec default; other families take no shape."""
         kind = data.get("family")
         if kind is None:
             raise ConfigError("renewal record needs a 'family' entry")
         shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
-        return cls(kind=str(kind), **shape)
+        family = cls(kind=str(kind), **shape)
+        _refuse_unread(data, f"{family.kind} renewal law",
+                       ("family", "alpha", "beta") if family.kind == "scaled_beta" else ("family",))
+        return family
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class ExperimentConfig:
     master_seed: int = 0
     known_b: int | None = None  # estimation bandwidth; defaults to the truth's b
     delta: float = 0.1  # BandwidthCurve only
-    b_max: int = 64  # BandwidthCurve only
+    b_max: int = BandwidthConfig.b_max  # BandwidthCurve only
     riemann_k: int = 0  # RiemannError only
 
     def __post_init__(self) -> None:
@@ -183,46 +186,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("experiment config must be a mapping")
-        for key in ("mode", "field", "renewal", "noise", "n_grid"):
-            if key not in data:
-                raise ConfigError(f"experiment config is missing {key!r}")
-        known = {"mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed",
-                 "known_b", "delta", "b_max", "riemann_k"}
-        stray = set(data) - known
-        if stray:
-            raise ConfigError(f"unknown config keys: {sorted(stray)}")
-        records = {}
+        """The record's keys are the field names, with "field" for
+        field_source; a key left out takes the field's default."""
+        names = {("field" if f.name == "field_source" else f.name): f for f in fields(cls)}
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        missing = [key for key, f in names.items() if f.default is MISSING and key not in data]
+        if missing:
+            raise ConfigError(f"experiment config is missing {missing}")
+        entries = {names[key].name: value for key, value in data.items()}
         for key, parse in (("field", FieldSource.from_dict), ("renewal", RenewalFamily.from_dict),
                            ("noise", NoiseSpec.from_dict)):
             if not isinstance(data[key], dict):
                 raise ConfigError(f"experiment config entry {key!r} must be a mapping")
             try:
-                records[key] = parse(data[key])
+                entries[names[key].name] = parse(data[key])
             except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
                 raise ConfigError(f"config entry {key!r}: {exc}") from exc
-        return cls(
-            mode=str(data["mode"]),
-            field_source=records["field"],
-            renewal=records["renewal"],
-            noise=records["noise"],
-            n_grid=data["n_grid"],
-            trials=data.get("trials", 1000),
-            master_seed=data.get("master_seed", 0),
-            known_b=data.get("known_b"),
-            delta=data.get("delta", 0.1),
-            b_max=data.get("b_max", 64),
-            riemann_k=data.get("riemann_k", 0),
-        )
+        return cls(**entries)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-        return cls.from_dict(data)
+        return cls.from_dict(load_record(path))
+
+
+def load_record(path) -> dict:
+    """The config record stored as JSON at path."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise ConfigError("experiment config must be a mapping")
+    return data
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import whole
+
 # Grid resolution for sup-norm checks.  8192 points resolve every harmonic
 # up to b = 64 with plenty of margin.
 DENSE_GRID = 8192
@@ -27,9 +29,7 @@ class BandlimitedField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if int(self.b) != self.b or self.b < 0:
-            raise ValueError("bandwidth must be a non-negative integer")
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", whole("bandwidth b", self.b, 0))
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size != 2 * self.b + 1:
             raise ValueError(
@@ -93,7 +93,7 @@ class BandlimitedField:
     @classmethod
     def from_dict(cls, data: dict) -> "BandlimitedField":
         try:
-            b = int(data["b"])
+            b = data["b"]
             coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"field record must carry 'b' and 'coeffs' as [re, im] pairs: {exc}")

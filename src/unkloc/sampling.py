@@ -32,13 +32,10 @@ def trial_seed(experiment_seed: int, n: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def spawn_rngs(seed: int, streams: int = 2) -> tuple[np.random.Generator, ...]:
-    """Independent Philox streams derived from one trial seed.
-
-    Stream 0 drives the spacing draws, stream 1 the noise draws, so the
-    two are independent by construction.
-    """
-    children = np.random.SeedSequence(seed & _MASK64).spawn(streams)
+def spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The two independent Philox streams of one trial seed: the first
+    drives the spacing draws, the second the noise draws."""
+    children = np.random.SeedSequence(seed & _MASK64).spawn(2)
     return tuple(np.random.Generator(np.random.Philox(c)) for c in children)
 
 

@@ -80,6 +80,15 @@ def test_config_rejects_bad_values():
         BandwidthConfig(delta=float("nan"), sigma2=0.0, n=100)
 
 
+def test_delta_whose_bounds_overflow_is_refused():
+    # delta**2 (the stop band) and (1/delta)**3 (the bound on n that an
+    # unrunnable threshold reports) raise OverflowError in float arithmetic
+    for delta in (1e155, 1e-200):
+        with pytest.raises(ConfigError, match="overflows"):
+            BandwidthConfig(delta=delta, sigma2=0.0, n=100)
+    assert BandwidthConfig(delta=1e150, sigma2=0.0, n=100).band < float("inf")
+
+
 def test_stop_band_default_is_half_delta_squared():
     assert _config(delta=0.1).band == pytest.approx(0.005, abs=1e-15)
     assert _config(delta=0.2).band == pytest.approx(0.02, abs=1e-15)

@@ -1,5 +1,6 @@
 """End-to-end CLI checks driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unkloc
-from unkloc import noise, sampling
+from unkloc import cli, noise, sampling
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
+from unkloc.experiments import run
 from unkloc.field import BandlimitedField
+from unkloc.sampling import generate_trace
 
 
 @pytest.fixture
@@ -87,7 +90,7 @@ def test_field_gen_rejects_mixed_source(tmp_path, capsys):
     code = main(["field-gen", "paper1", "--b", "3", "--seed", "1",
                  "--out", str(tmp_path / "x.json")])
     assert code == EXIT_USAGE
-    assert "either" in capsys.readouterr().err
+    assert "does not read ['b', 'seed']" in capsys.readouterr().err
 
 
 def test_field_gen_requires_some_source(tmp_path):
@@ -128,19 +131,6 @@ def test_estimate_writes_out_file(paper2_file, tmp_path):
     assert "distortion" in json.loads(out.read_text())
 
 
-def test_estimate_rejects_wrong_lambda(paper2_file, capsys):
-    code = main(["estimate", "--field", str(paper2_file), "--n", "200",
-                 "--lambda", "3.0", "--noise", "zero"])
-    assert code == EXIT_USAGE
-    assert "mean-1" in capsys.readouterr().err
-
-
-def test_estimate_accepts_matching_lambda(paper2_file):
-    code = main(["estimate", "--field", str(paper2_file), "--n", "200",
-                 "--lambda", "2.0", "--noise", "zero", "--out", "/dev/null"])
-    assert code == EXIT_OK
-
-
 def test_estimate_rejects_bad_noise_token(paper2_file, capsys):
     code = main(["estimate", "--field", str(paper2_file), "--n", "200",
                  "--noise", "uniform:abc"])
@@ -154,14 +144,16 @@ def test_estimate_rejects_bad_noise_token(paper2_file, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--renewal", "scaled_beta", "--alpha", "1e-300"],  # Beta(1e-300, 2) underflows to 0
+    # Beta(1e-300, 2) underflows to 0, but its lam = 2e300 is refused before any
+    # draw (test_sampling checks that the redraw bound stops it as well)
+    ["--renewal", "scaled_beta", "--alpha", "1e-300"],
     ["--noise", "gaussian:1:1e-300"],  # a cut of 1e-300 sigma accepts no draw
 ])
 def test_estimate_refuses_a_law_that_never_accepts(paper2_file, capsys, flags):
     start = time.perf_counter()
     code = main(["estimate", "--field", str(paper2_file), "--n", "100", *flags])
     assert code == EXIT_USAGE
-    assert "redrawing" in capsys.readouterr().err
+    assert ("n >= lam" if "scaled_beta" in flags else "redrawing") in capsys.readouterr().err
     assert time.perf_counter() - start < 5.0  # bounded: about 0.2 s on 2 cores
 
 
@@ -215,6 +207,13 @@ def test_detect_guards_threshold_positivity(paper2_file, capsys):
     assert "1000" in err
 
 
+@pytest.mark.parametrize("delta", ["1e155", "1e-200"])
+def test_detect_refuses_a_delta_that_overflows(paper2_file, capsys, delta):
+    code = main(["detect", "--field", str(paper2_file), "--n", "2000", "--delta", delta])
+    assert code == EXIT_USAGE
+    assert "overflows" in capsys.readouterr().err
+
+
 # sweep -----------------------------------------------------------------------
 
 
@@ -251,6 +250,18 @@ def test_sweep_env_var_must_be_integer(sweep_config, tmp_path, monkeypatch, caps
     assert "UNKLOC_THREADS" in capsys.readouterr().err
 
 
+def test_sweep_threads_are_capped_at_the_cpu_count(sweep_config, tmp_path, monkeypatch, capsys):
+    # the pool starts a thread per queued cell while none is idle, so an
+    # uncapped value could start one per cell; the stand-in run starts none
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config, workers: seen.append(workers) or run(config))
+    for value in ("100000", "1"):
+        monkeypatch.setenv("UNKLOC_THREADS", value)
+        assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / value)]) == EXIT_OK
+    assert seen == [os.cpu_count() or 1, 1]
+    assert (tmp_path / "100000" / "rows.csv").read_bytes() == (tmp_path / "1" / "rows.csv").read_bytes()
+
+
 def test_sweep_overrides(sweep_config, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("UNKLOC_THREADS", raising=False)
     out_dir = tmp_path / "out"
@@ -266,26 +277,24 @@ def test_sweep_overrides(sweep_config, tmp_path, monkeypatch, capsys):
     assert note["slope"] is None
 
 
-def test_sweep_rejects_wrong_lambda(sweep_config, tmp_path, capsys):
-    code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o"),
-                 "--lambda", "3.0"])
-    assert code == EXIT_USAGE
-    assert "mean-1" in capsys.readouterr().err
-
-
 def test_sweep_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
 
 
-def test_scaled_beta_shape_flags_default_per_flag(paper2_file, sweep_config, tmp_path):
+def test_scaled_beta_shape_flags_default_per_flag(paper2_file, sweep_config, tmp_path, monkeypatch):
     # unset --alpha/--beta keep the family default of 2, so lam = (alpha + 2) / alpha
+    lams = []
+    monkeypatch.setattr(cli, "generate_trace",
+                        lambda spec, rng: lams.append(spec.lam) or generate_trace(spec, rng))
+    monkeypatch.setattr(cli, "run", lambda config, workers: lams.append(config.renewal.spec_for(1).lam)
+                        or run(config))
     assert main(["estimate", "--field", str(paper2_file), "--n", "100",
-                 "--renewal", "scaled_beta", "--lambda", "2.0"]) == EXIT_OK
+                 "--renewal", "scaled_beta", "--out", os.devnull]) == EXIT_OK
     assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o"),
-                 "--trials", "1", "--renewal", "scaled_beta", "--alpha", "1.0",
-                 "--lambda", "3.0"]) == EXIT_OK
+                 "--trials", "1", "--renewal", "scaled_beta", "--alpha", "1.0"]) == EXIT_OK
+    assert lams == [2.0, 3.0]
 
 
 NON_FINITE_FIELD = '{"b": 1, "coeffs": [[Infinity, 0], [0, 0], [Infinity, 0]]}'
@@ -321,6 +330,120 @@ def test_sweep_config_type_errors_exit_usage(sweep_config, tmp_path, capsys, pat
     code = main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert next(iter(patch)) in capsys.readouterr().err  # the error names the offending key
+
+
+# flags and records -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["estimate", "detect", "sweep"])
+def test_lambda_flag_is_gone(paper2_file, sweep_config, tmp_path, capsys, command):
+    # the mean-1 constraint pins lam, so no flag may set it
+    where = (["--config", str(sweep_config), "--out", str(tmp_path / "o")] if command == "sweep"
+             else ["--field", str(paper2_file), "--n", "2000"])
+    assert main([command, *where, "--lambda", "2.0"]) == EXIT_USAGE
+    assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, patch, key", [
+    (["estimate", "--alpha", "5"], None, "alpha"),  # uniform spacings have no shape
+    (["detect", "--renewal", "triangular", "--beta", "3"], None, "beta"),
+    (["sweep", "--beta", "9"], None, "beta"),  # the config renewal record is uniform
+    (["sweep"], {"field": {"source": "paper1", "b": 5}}, "b"),
+    (["sweep"], {"field": {"source": "random", "b": 2, "seed": 1, "path": "x.json"}}, "path"),
+    (["field-gen", "paper1", "--b", "3"], None, "b"),
+    (["field-gen", "paper2", "--seed", "3"], None, "seed"),
+])
+def test_unread_entries_exit_usage(paper2_file, sweep_config, tmp_path, capsys, argv, patch, key):
+    if patch:
+        sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), **patch}))
+    where = {"sweep": ["--config", str(sweep_config), "--out", str(tmp_path / "o")],
+             "field-gen": ["--out", str(tmp_path / "f.json")]}.get(
+                 argv[0], ["--field", str(paper2_file), "--n", "2000"])
+    assert main([*argv, *where]) == EXIT_USAGE
+    assert f"does not read ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--n", "1"]),  # uniform: lam = 2
+    ("detect", ["--n", "1500", "--renewal", "scaled_beta", "--alpha", "1e-3"]),  # lam = 2001
+])
+def test_simulation_refuses_n_below_lambda(paper2_file, capsys, command, flags):
+    # the rule sweep configs already follow: below lam a trace can hold no sample
+    assert main([command, "--field", str(paper2_file), *flags]) == EXIT_USAGE
+    assert "n >= lam" in capsys.readouterr().err
+
+
+def test_sweep_shape_flags_patch_the_config_renewal(sweep_config, tmp_path, capsys):
+    data = json.loads(sweep_config.read_text())
+    data["renewal"] = {"family": "scaled_beta", "alpha": 2.0}
+    sweep_config.write_text(json.dumps(data))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**data, "renewal": {"family": "scaled_beta", "alpha": 2.0, "beta": 9.0}}))
+    for config, flags, out in ((sweep_config, [], "plain"), (sweep_config, ["--beta", "9"], "patched"),
+                               (wide, [], "wide")):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / out), *flags]) == EXIT_OK
+    rows = {out: (tmp_path / out / "rows.csv").read_bytes() for out in ("plain", "patched", "wide")}
+    assert rows["patched"] != rows["plain"]
+    assert rows["patched"] == rows["wide"]
+
+
+@pytest.mark.parametrize("b", ["2.5", "true", '"2"'])
+def test_estimate_refuses_a_field_file_with_a_non_integer_bandwidth(tmp_path, capsys, b):
+    # five pairs would fit b = 2, which int() used to truncate 2.5 to
+    path = tmp_path / "field.json"
+    path.write_text('{"b": %s, "coeffs": [[0, 0], [0, 0], [1, 0], [0, 0], [0, 0]]}' % b)
+    assert main(["estimate", "--field", str(path), "--n", "100"]) == EXIT_USAGE
+    assert "bandwidth b must be an integer" in capsys.readouterr().err
+
+
+_FLAG_VALUE = st.one_of(st.integers(-3, 10**4).map(str), st.floats(0.1, 5.0).map(repr),
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=6))
+
+
+_NOISE_TOKEN = st.sampled_from(["zero", "uniform:0.5", "gaussian:0.3:4"]) | st.builds(
+    lambda family, params: ":".join([family, *map(repr, params)]),
+    st.sampled_from(noise.FAMILIES), st.lists(_PARAM, max_size=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(noise_token=_NOISE_TOKEN, renewal=st.none() | st.sampled_from(sampling.FAMILIES),
+       alpha=_SHAPE, beta=_SHAPE, n=st.integers(1, 3000),
+       delta=st.none() | st.floats(0.05, 1.0) | st.floats(allow_nan=True),
+       b_max=st.none() | st.integers(-2, 70))
+def test_detect_fuzz_exits_ok_usage_or_cap(paper1_path, noise_token, renewal, alpha, beta,
+                                          n, delta, b_max):
+    argv = ["detect", "--field", str(paper1_path), "--n", str(n), "--noise", noise_token,
+            "--out", os.devnull]
+    for flag, value in (("--renewal", renewal), ("--alpha", alpha), ("--beta", beta),
+                        ("--delta", delta), ("--b-max", b_max)):
+        if value is not None:
+            argv += [flag, str(value) if isinstance(value, str) else repr(value)]
+    assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_CAP)
+
+
+_SWEEP_FLAGS = ("--n", "--trials", "--seed", "--delta", "--renewal", "--alpha", "--beta", "--noise")
+
+
+@settings(max_examples=25, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(_SWEEP_FLAGS),
+                             _FLAG_VALUE | st.sampled_from(sampling.FAMILIES + noise.FAMILIES)
+                             | st.lists(st.integers(1, 600), min_size=1, max_size=3).map(
+                                 lambda ns: ",".join(map(str, ns))),
+                             max_size=4))
+def test_sweep_fuzz_exits_ok_or_usage(tmp_path_factory, flags):
+    config = tmp_path_factory.mktemp("fuzz") / "sweep.json"
+    config.write_text(json.dumps({
+        "mode": "BandwidthCurve", "field": {"source": "paper1"},
+        "renewal": {"family": "scaled_beta"}, "noise": {"family": "uniform", "params": [0.5]},
+        "n_grid": [100, 200], "trials": 2, "delta": 0.3, "b_max": 4,
+    }))
+    argv = ["sweep", "--config", str(config), "--out", str(config.parent / "o")]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")
+    if "--trials" in flags:
+        argv.append("--trials=2")  # keep the run small; the fuzzed value still has to parse
+    assert main(argv) in (EXIT_OK, EXIT_USAGE)
 
 
 # replay ----------------------------------------------------------------------
@@ -371,6 +494,82 @@ def test_replay_rejects_off_grid_cell(sweep_config, capsys):
                  "--trial", "0"]) == EXIT_USAGE
     assert main(["replay", "--config", str(sweep_config), "--n", "200",
                  "--trial", "77"]) == EXIT_USAGE
+
+
+# pinned output ---------------------------------------------------------------
+
+# estimate/detect stdout and sweep files for seeded runs, pinned by the first
+# 16 hex digits of a sha256 digest (as test_seeded_draws_are_pinned does for
+# the draws).  The CLI may change how it reads its flags, never what a run
+# writes: a row recorded by one version must replay under the next.
+PINNED_RENEWAL_FLAGS = {
+    "uniform": [],
+    "triangular": ["--renewal", "triangular"],
+    "scaled_beta": ["--renewal", "scaled_beta"],
+    "scaled_beta:1.5:3": ["--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3"],
+    "degenerate": ["--renewal", "degenerate"],
+}
+PINNED_NOISE_FLAGS = [[], ["--noise", "uniform:0.5"], ["--noise", "gaussian:0.5:4"],
+                      ["--noise", "rademacher:0.3"]]
+PINNED_COMMANDS = {
+    "estimate": ["--n", "500", "--seed", "3"],
+    "detect": ["--n", "2000", "--seed", "5", "--delta", "0.2", "--b-max", "8"],
+}
+PINNED_CLI_DIGESTS = {
+    ("estimate", "uniform"): ("dfc3403528785ad2", "edd9d1b3e45e4a75", "a83f20af4ca14bf9", "2c1df9adf1b75b00"),
+    ("estimate", "triangular"): ("e8b05c6c3e1feba0", "ff570eed5b3b264f", "f436c6d05185d272", "4326e84e72ba3d15"),
+    ("estimate", "scaled_beta"): ("f3e0f7901c4183ab", "4c992239f957bbe5", "0c8b6b050b6b0e8e", "30bae014589a68c9"),
+    ("estimate", "scaled_beta:1.5:3"): ("7ae4bc06183a8d9c", "089648044a06d4cb", "b8fb6b1a4e4f8a51", "787d083ceaac3cf9"),
+    ("estimate", "degenerate"): ("c0b4e0d3b8ac60f5", "1a91ad608827ee9b", "870ae32fa74250d5", "29ccbb87688b29cb"),
+    ("detect", "uniform"): ("dfb86835f597f3f8", "549fa8c4f39b546b", "2dc80ca3a2b5d519", "1003522587779702"),
+    ("detect", "triangular"): ("5aa1bd076108d52f", "d1ac6ae2710ea536", "44978245fd0956da", "8b3baa16afc6a447"),
+    ("detect", "scaled_beta"): ("9694142d969f33df", "b4a7a43f67de551c", "4eff93ec628cf6f2", "fe481d94ad5481bb"),
+    ("detect", "scaled_beta:1.5:3"): ("f024af2f027ff680", "ca191a29180a2c0b", "1cd9b1244a699a83", "f28de552317098b3"),
+    ("detect", "degenerate"): ("4af590d9ec88bf21", "8b1282a762bdcb85", "0ba5951f34d7c89a", "2de3e9856116db72"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command", PINNED_COMMANDS)
+@pytest.mark.parametrize("renewal", PINNED_RENEWAL_FLAGS)
+def test_simulated_output_is_pinned(paper1_path, capsys, command, renewal):
+    digests = []
+    for noise_flags in PINNED_NOISE_FLAGS:
+        code = main([command, "--field", str(paper1_path), *PINNED_COMMANDS[command],
+                     *PINNED_RENEWAL_FLAGS[renewal], *noise_flags])
+        digests.append(_digest(f"{code}\n{capsys.readouterr().out}".encode()))
+    assert tuple(digests) == PINNED_CLI_DIGESTS[command, renewal]
+
+
+PINNED_SWEEPS = {
+    "distortion": ({"mode": "DistortionSweep", "field": {"source": "paper1"}},
+                   ["--n", "200,400,800", "--trials", "3", "--seed", "5", "--delta", "0.2",
+                    "--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3",
+                    "--noise", "gaussian:0.5:4"]),
+    "bandwidth": ({"mode": "BandwidthCurve", "field": {"source": "paper2"}, "b_max": 16},
+                  ["--n", "2000,4000", "--trials", "2", "--seed", "9", "--delta", "0.15",
+                   "--renewal", "triangular", "--noise", "uniform:0.5"]),
+}
+PINNED_SWEEP_DIGESTS = {
+    "distortion": ("6147d76ec69ec0a3", "b47233b50d8bb077", "5cda6485d126cb10"),
+    "bandwidth": ("15799e938ce0b861", "92938cf418f67134", "a5fdfe006dc29e2d"),
+}
+
+
+@pytest.mark.parametrize("sweep", PINNED_SWEEPS)
+def test_sweep_output_is_pinned(sweep_config, tmp_path, monkeypatch, capsys, sweep):
+    monkeypatch.delenv("UNKLOC_THREADS", raising=False)
+    patch, flags = PINNED_SWEEPS[sweep]
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), **patch}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out_dir), *flags]) == EXIT_OK
+    capsys.readouterr()
+    digests = tuple(_digest((out_dir / name).read_bytes())
+                    for name in ("rows.csv", "summary.csv", "slope.json"))
+    assert digests == PINNED_SWEEP_DIGESTS[sweep]
 
 
 # top level -------------------------------------------------------------------

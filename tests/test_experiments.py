@@ -150,6 +150,29 @@ def test_field_source_file_kind(tmp_path):
         FieldSource(kind="random", b=3)  # missing seed
 
 
+def test_field_source_integers_are_whole_numbers():
+    assert FieldSource.from_dict({"source": "random", "b": 3.0, "seed": 1}).b == 3
+    for key, bad in (("b", True), ("b", 2.5), ("b", "3"), ("seed", False), ("seed", 1.5)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            FieldSource.from_dict({"source": "random", "b": 3, "seed": 1, key: bad})
+    with pytest.raises(ConfigError, match="trials"):
+        _config(trials=True)
+
+
+def test_records_refuse_entries_their_kind_does_not_read():
+    for record, key in (({"source": "paper1", "b": 5}, "b"),
+                        ({"source": "random", "b": 2, "seed": 1, "path": "f.json"}, "path"),
+                        ({"source": "file", "path": "f.json", "seed": 1}, "seed")):
+        with pytest.raises(ConfigError, match=rf"does not read \['{key}'\]"):
+            FieldSource.from_dict(record)
+    for kind in ("uniform", "triangular", "degenerate"):
+        with pytest.raises(ConfigError, match=r"does not read \['alpha'\]"):
+            RenewalFamily.from_dict({"family": kind, "alpha": 2.0})
+    # a null entry is an unset one
+    assert FieldSource.from_dict({"source": "paper1", "b": None}) == FieldSource(kind="paper1")
+    assert RenewalFamily.from_dict({"family": "uniform", "beta": None}) == RenewalFamily(kind="uniform")
+
+
 def test_renewal_family_takes_the_spec_shape_defaults():
     family = RenewalFamily.from_dict({"family": "scaled_beta", "alpha": None})
     assert family.to_dict() == {"family": "scaled_beta", "alpha": 2.0, "beta": 2.0}

@@ -1,6 +1,7 @@
 """Renewal traces: spacing laws, stopping rule, degenerate grid, seeds."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ def test_trace_is_deterministic_per_rng_state():
     b = generate_trace(spec, _rng(9))
     assert np.array_equal(a.locations, b.locations)
     assert a.overshoot == b.overshoot
+
+
+def test_trace_generation_stops_at_the_redraw_bound():
+    # Beta(1e-300, 2) underflows to 0 on (almost) every draw, so no spacing is
+    # ever accepted; the bound turns the endless redraw into a ConfigError
+    spec = RenewalSpec(100, "scaled_beta", 1e-300)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="redrawing"):
+        generate_trace(spec, _rng(3))
+    assert time.perf_counter() - start < 5.0  # about 0.2 s on 2 cores
 
 
 @settings(max_examples=30, deadline=None)
