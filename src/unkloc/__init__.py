@@ -1,7 +1,7 @@
 """Estimation of periodic bandlimited fields from noise-corrupted samples
 taken at unknown locations generated by a renewal process."""
 
-from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth, threshold_coefficient
+from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
 from .errors import ConfigError
 from .estimator import (
     energy_estimate,
@@ -61,6 +61,5 @@ __all__ = [
     "run",
     "run_trial",
     "spawn_rngs",
-    "threshold_coefficient",
     "trial_seed",
 ]

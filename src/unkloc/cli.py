@@ -22,13 +22,13 @@ from .experiments import (
     load_record,
     load_rows_csv,
     run,
-    run_trial,
+    run_cell,
     write_rows_csv,
     write_slope_json,
     write_summary_csv,
 )
 from .field import distortion
-from .sampling import FAMILIES as RENEWAL_FAMILIES, acquire, generate_trace, spawn_rngs, trial_seed
+from .sampling import FAMILIES as RENEWAL_FAMILIES, acquire, generate_trace, spawn_rngs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +43,14 @@ def _noise_record(token: str) -> dict:
         return {"family": family, "params": [float(p) for p in params]}
     except ValueError:
         raise ConfigError(f"bad noise parameter in {token!r}")
+
+
+def _n_grid(text: str) -> list[int]:
+    """sweep --n: the n_grid entry as comma-separated integers."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"n_grid must be comma-separated integers, got {text!r}")
 
 
 def _patched(record, **flags):
@@ -126,8 +134,7 @@ def _workers_from_env() -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_grid = [int(tok) for tok in args.n.split(",")] if args.n else None
-    config = _config(args, load_record(args.config), n_grid=n_grid, trials=args.trials,
+    config = _config(args, load_record(args.config), n_grid=args.n, trials=args.trials,
                      master_seed=args.seed, delta=args.delta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,8 +159,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"n={args.n} is not in the config grid {list(config.n_grid)}")
     if not (0 <= args.trial < config.trials):
         raise ConfigError(f"trial must lie in [0, {config.trials})")
-    seed = trial_seed(config.master_seed, args.n, args.trial)
-    metrics = run_trial(config, args.n, seed)
+    seed, metrics = run_cell(config, args.n, args.trial)
     payload = {"n": args.n, "trial": args.trial, "seed": seed, "metrics": metrics}
     if args.rows:
         recorded = {
@@ -165,8 +171,8 @@ def cmd_replay(args) -> int:
             raise ConfigError(f"no rows for n={args.n}, trial={args.trial} in {args.rows}")
         mismatches = []
         for name, value in metrics.items():
-            rec = recorded.get(name)
-            if rec is None or rec["seed"] != seed or rec["value"] != value:
+            rec = recorded.get(name)  # values compare by bits, so a recorded NaN matches a NaN
+            if rec is None or rec["seed"] != seed or rec["value"].hex() != float(value).hex():
                 mismatches.append(name)
         if mismatches:
             print(f"replay mismatch for metrics {mismatches}", file=sys.stderr)
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory for rows/summary/slope files")
-    p.add_argument("--n", default=None, help="override n_grid, comma separated")
+    p.add_argument("--n", type=_n_grid, help="override n_grid, comma separated")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--delta", type=float, default=None)

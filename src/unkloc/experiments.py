@@ -1,44 +1,33 @@
 """Seeded Monte Carlo harness: sweeps over n, summaries, log-log slope fits.
 
-Each (n, trial) cell gets its own 64-bit seed hashed from the experiment
-seed, so any cell can be replayed bit-exactly in isolation.  A trial whose
-config is unrunnable at its n (a detection threshold that is not positive,
-or a law that hits the redraw bound) becomes NaN-valued rows rather than
-aborting the sweep; summary counts then show the surviving denominator.
-Any other fault propagates.
+Each mode is declared once, as one row of ``_MODES``.  Each (n, trial)
+cell gets its own 64-bit seed hashed from the experiment seed, so any cell
+can be replayed bit-exactly in isolation, by the one function ``run_cell``
+that the sweep runs.  A trial whose config is unrunnable at its n (a
+detection threshold that is not positive, or a law that hits the redraw
+bound) becomes NaN-valued rows rather than aborting the sweep; summary
+counts then show the surviving denominator.  Any other fault propagates.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
+from .bandwidth import BandwidthConfig, detect_bandwidth
 from .errors import ConfigError, whole
 from .estimator import energy_estimate, estimate_field, riemann_coefficient
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
-from .sampling import RenewalSpec, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
-
-MODES = ("DistortionSweep", "BandwidthCurve", "GridDeviation", "EnergyMSE", "RiemannError")
-
-# metric names per mode; the first entry is the mode's primary metric
-# (the one summarised in the summary CSV and slope fit)
-METRIC_SETS = {
-    "DistortionSweep": ("distortion",),
-    "BandwidthCurve": ("success", "stop_check", "coeff_check"),
-    "GridDeviation": ("grid_deviation",),
-    "EnergyMSE": ("energy_sq_error",),
-    "RiemannError": ("riemann_abs_error",),
-}
-
-DECAY_MODES = ("DistortionSweep", "EnergyMSE")
+from .sampling import RenewalSpec, SampleTrace, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
 
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
@@ -83,9 +72,6 @@ class FieldSource:
             return random_field(self.b, self.seed)
         return BandlimitedField.load(self.path)
 
-    def to_dict(self) -> dict:
-        return {"source": self.kind, **{key: getattr(self, key) for key in _SOURCE_KEYS[self.kind]}}
-
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSource":
         kind = data.get("source")
@@ -111,12 +97,6 @@ class RenewalFamily:
     def spec_for(self, n: int) -> RenewalSpec:
         return RenewalSpec(n, self.kind, self.alpha, self.beta)
 
-    def to_dict(self) -> dict:
-        out = {"family": self.kind}
-        if self.kind == "scaled_beta":
-            out.update(alpha=self.alpha, beta=self.beta)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalFamily":
         """A missing or null alpha/beta takes the RenewalSpec default; other families take no shape."""
@@ -130,6 +110,10 @@ class RenewalFamily:
         return family
 
 
+# the config entries every mode reads; a mode's row names the others it reads
+_SHARED = ("mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -140,9 +124,9 @@ class ExperimentConfig:
     trials: int = 1000
     master_seed: int = 0
     known_b: int | None = None  # estimation bandwidth; defaults to the truth's b
-    delta: float = 0.1  # BandwidthCurve only
-    b_max: int = BandwidthConfig.b_max  # BandwidthCurve only
-    riemann_k: int = 0  # RiemannError only
+    delta: float = 0.1
+    b_max: int = BandwidthConfig.b_max
+    riemann_k: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -165,29 +149,11 @@ class ExperimentConfig:
         BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
         object.__setattr__(self, "riemann_k", whole("riemann_k", self.riemann_k))
 
-    def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "field": self.field_source.to_dict(),
-            "renewal": self.renewal.to_dict(),
-            "noise": self.noise.to_dict(),
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
-        if self.known_b is not None:
-            out["known_b"] = self.known_b
-        if self.mode == "BandwidthCurve":
-            out["delta"] = self.delta
-            out["b_max"] = self.b_max
-        if self.mode == "RiemannError":
-            out["riemann_k"] = self.riemann_k
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The record's keys are the field names, with "field" for
-        field_source; a key left out takes the field's default."""
+        field_source; a key left out takes the field's default.  An entry
+        the mode does not read may not be set."""
         names = {("field" if f.name == "field_source" else f.name): f for f in fields(cls)}
         unknown = sorted(set(data) - set(names))
         if unknown:
@@ -204,7 +170,9 @@ class ExperimentConfig:
                 entries[names[key].name] = parse(data[key])
             except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
                 raise ConfigError(f"config entry {key!r}: {exc}") from exc
-        return cls(**entries)
+        config = cls(**entries)
+        _refuse_unread(data, f"{config.mode} mode", (*_SHARED, *_MODES[config.mode].reads))
+        return config
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -259,14 +227,57 @@ class ExperimentResult:
         return {row.n: row for row in self.summary if row.metric == metric}
 
 
-def _bandwidth_checks(outcome: DetectionOutcome, truth: BandlimitedField) -> tuple[bool, bool]:
-    """(stopping-rule check, coefficient-threshold check) for one outcome."""
+# trial steps: each scores one trace (with readings if its mode acquires
+# them) and returns its mode's metrics in order.  They call the layer
+# functions through this module's globals, where a tracer can wrap them.
+
+
+def _distortion(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
+    b = truth.b if config.known_b is None else config.known_b
+    return (distortion(truth, estimate_field(trace.readings, b)),)
+
+
+def _detection(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float, ...]:
+    """success, and its two halves: the stopping rule found truth.b, and
+    the kept coefficients are exactly the truth's non-zero ones."""
+    outcome = detect_bandwidth(trace.readings, BandwidthConfig(
+        delta=config.delta, sigma2=config.noise.variance, n=trace.spec.n, b_max=config.b_max))
     stop_ok = outcome.status == "Stopped" and outcome.detected_b == truth.b
-    coeff_ok = all(
-        (outcome.kept(k) != 0) == (truth.coefficient(k) != 0)
-        for k in range(-truth.b, truth.b + 1)
-    )
-    return stop_ok, coeff_ok
+    coeff_ok = all((outcome.kept(k) != 0) == (truth.coefficient(k) != 0) for k in range(-truth.b, truth.b + 1))
+    return float(stop_ok and coeff_ok), float(stop_ok), float(coeff_ok)
+
+
+def _grid_gap(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
+    return (grid_deviation(trace),)
+
+
+def _energy_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
+    return ((energy_estimate(trace.readings, config.noise.variance) - truth.energy()) ** 2,)
+
+
+def _riemann_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
+    k = config.riemann_k
+    return (abs(riemann_coefficient(truth, trace.m, k) - truth.coefficient(k)),)
+
+
+class _Mode(NamedTuple):
+    metrics: tuple[str, ...]  # the first is the primary metric: summarised, and slope-fit
+    reads: tuple[str, ...]  # the config entries it reads besides _SHARED
+    slope: bool  # fit a log-log decay slope to the primary metric
+    readings: bool  # acquire noisy readings of the truth before the step
+    step: Callable[[ExperimentConfig, BandlimitedField, SampleTrace], tuple[float, ...]]
+
+
+_MODES = {
+    "DistortionSweep": _Mode(("distortion",), ("known_b",), True, True, _distortion),
+    "BandwidthCurve": _Mode(("success", "stop_check", "coeff_check"), ("delta", "b_max"), False, True, _detection),
+    "GridDeviation": _Mode(("grid_deviation",), (), False, False, _grid_gap),
+    "EnergyMSE": _Mode(("energy_sq_error",), (), True, True, _energy_error),
+    "RiemannError": _Mode(("riemann_abs_error",), ("riemann_k",), False, False, _riemann_error),
+}
+
+MODES = tuple(_MODES)
+METRIC_SETS = {name: mode.metrics for name, mode in _MODES.items()}
 
 
 def run_trial(config: ExperimentConfig, n: int, seed: int,
@@ -275,60 +286,40 @@ def run_trial(config: ExperimentConfig, n: int, seed: int,
     which is what makes single-cell replay possible."""
     if truth is None:
         truth = config.field_source.resolve()
+    mode = _MODES[config.mode]
     spec = config.renewal.spec_for(n)
     rng_trace, rng_noise = spawn_rngs(seed)
     trace = generate_trace(spec, rng_trace)
+    if mode.readings:
+        trace = acquire(trace, truth, config.noise, rng_noise)
+    return dict(zip(mode.metrics, mode.step(config, truth, trace)))
 
-    if config.mode == "GridDeviation":
-        return {"grid_deviation": grid_deviation(trace)}
-    if config.mode == "RiemannError":
-        approx = riemann_coefficient(truth, trace.m, config.riemann_k)
-        return {"riemann_abs_error": abs(approx - truth.coefficient(config.riemann_k))}
 
-    trace = acquire(trace, truth, config.noise, rng_noise)
-    if config.mode == "DistortionSweep":
-        b = truth.b if config.known_b is None else config.known_b
-        est = estimate_field(trace.readings, b)
-        return {"distortion": distortion(truth, est)}
-    if config.mode == "EnergyMSE":
-        e_hat = energy_estimate(trace.readings, config.noise.variance)
-        return {"energy_sq_error": (e_hat - truth.energy()) ** 2}
-    # BandwidthCurve
-    det_config = BandwidthConfig(delta=config.delta, sigma2=config.noise.variance,
-                                 n=n, b_max=config.b_max)
-    outcome = detect_bandwidth(trace.readings, det_config)
-    stop_ok, coeff_ok = _bandwidth_checks(outcome, truth)
-    return {
-        "success": float(stop_ok and coeff_ok),
-        "stop_check": float(stop_ok),
-        "coeff_check": float(coeff_ok),
-    }
+def run_cell(config: ExperimentConfig, n: int, trial: int,
+             truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
+    """The seed of cell (n, trial) and its trial's metrics.  A trial whose
+    config is unrunnable at this n reads NaN, which keeps the denominator
+    visible and replays like any other value."""
+    seed = trial_seed(config.master_seed, n, trial)
+    try:
+        return seed, run_trial(config, n, seed, truth)
+    except ConfigError:
+        return seed, dict.fromkeys(_MODES[config.mode].metrics, math.nan)
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full sweep over config.n_grid x config.trials."""
-    truth = config.field_source.resolve()
-    metric_names = METRIC_SETS[config.mode]
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    seeds = {cell: trial_seed(config.master_seed, *cell) for cell in cells}
-
-    def one_cell(cell: tuple[int, int]) -> dict[str, float]:
-        n, t = cell
-        try:
-            return run_trial(config, n, seeds[cell], truth=truth)
-        except ConfigError:
-            # unrunnable at this n: keep the denominator visible as a NaN row
-            return {name: math.nan for name in metric_names}
-
+    cell = functools.partial(run_cell, config, truth=config.field_source.resolve())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_cell, cells))
+            outcomes = list(pool.map(cell, *zip(*cells)))
     else:
-        outcomes = [one_cell(cell) for cell in cells]
-
+        outcomes = list(map(cell, *zip(*cells)))
+    metric_names = _MODES[config.mode].metrics
     rows = tuple(
-        TrialRow(n=cell[0], trial=cell[1], seed=seeds[cell], metric=name, value=float(values[name]))
-        for cell, values in zip(cells, outcomes)
+        TrialRow(n=n, trial=t, seed=seed, metric=name, value=float(values[name]))
+        for (n, t), (seed, values) in zip(cells, outcomes)
         for name in metric_names
     )
     summary = _summarise(rows, config.n_grid, metric_names)
@@ -355,9 +346,10 @@ def _summarise(rows: tuple[TrialRow, ...], n_grid: tuple[int, ...],
 
 def _fit_primary_slope(config: ExperimentConfig,
                        summary: tuple[SummaryRow, ...]) -> tuple[SlopeFit | None, str | None]:
-    if config.mode not in DECAY_MODES:
+    mode = _MODES[config.mode]
+    if not mode.slope:
         return None, None
-    primary = METRIC_SETS[config.mode][0]
+    primary = mode.metrics[0]
     points = [(row.n, row.mean) for row in summary if row.metric == primary]
     if len(points) < 3:
         return None, "slope needs at least 3 grid points"
@@ -398,19 +390,22 @@ def fit_loglog_slope(points) -> SlopeFit:
 
 # CSV / JSON emission -------------------------------------------------------
 
+# the columns of a rows CSV, with the type each is read back as
+_ROW_COLUMNS = {"mode": str, "n": int, "trial": int, "seed": int, "metric": str, "value": float}
+
 
 def write_rows_csv(result: ExperimentResult, path) -> None:
     """Per-trial rows: mode,n,trial,seed,metric,value."""
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["mode", "n", "trial", "seed", "metric", "value"])
+        writer.writerow(_ROW_COLUMNS)
         for row in result.rows:
             writer.writerow([result.config.mode, row.n, row.trial, row.seed, row.metric, str(row.value)])
 
 
 def write_summary_csv(result: ExperimentResult, path) -> None:
     """Primary-metric summary: mode,n,mean,stderr,count."""
-    primary = METRIC_SETS[result.config.mode][0]
+    primary = _MODES[result.config.mode].metrics[0]
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "n", "mean", "stderr", "count"])
@@ -429,16 +424,16 @@ def write_slope_json(result: ExperimentResult, path) -> None:
 
 
 def load_rows_csv(path) -> list[dict]:
-    """Read a rows CSV back into dicts with typed fields."""
-    out = []
+    """Read a rows CSV back into dicts with typed fields; a ConfigError
+    names a missing column or the line of a malformed row."""
     with open(Path(path), newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append({
-                "mode": rec["mode"],
-                "n": int(rec["n"]),
-                "trial": int(rec["trial"]),
-                "seed": int(rec["seed"]),
-                "metric": rec["metric"],
-                "value": float(rec["value"]),
-            })
-    return out
+        reader = csv.DictReader(fh)
+        try:
+            missing = [key for key in _ROW_COLUMNS if key not in (reader.fieldnames or ())]
+            rows = [] if missing else [{key: kind(rec[key]) for key, kind in _ROW_COLUMNS.items()}
+                                       for rec in reader]
+        except (TypeError, ValueError, csv.Error) as exc:  # a short row reads its missing cells as None
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if missing:
+        raise ConfigError(f"{path} lacks the rows CSV columns {missing}")
+    return rows

@@ -74,10 +74,6 @@ class BandlimitedField:
         x = np.arange(grid) / grid
         return float(np.max(np.abs(self.evaluate(x))))
 
-    def derivative_bound(self) -> float:
-        """Upper bound on sup |g'(x)|: 2 pi b sup|g| for bandwidth-b fields."""
-        return 2.0 * np.pi * self.b * self.dynamic_range()
-
     def energy(self) -> float:
         """Integral of |g|^2 over one period = sum |a[k]|^2."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -97,8 +93,10 @@ class BandlimitedField:
             coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"field record must carry 'b' and 'coeffs' as [re, im] pairs: {exc}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("field coefficients must be finite")
+        with np.errstate(over="ignore"):  # a sum of squares that overflows is what this refuses
+            energy = np.sum(np.abs(coeffs) ** 2)
+        if not np.isfinite(energy):
+            raise ValueError("field coefficients must be finite, and so must their energy sum |a[k]|**2")
         return cls(b=b, coeffs=coeffs)
 
     def save(self, path) -> None:

@@ -126,9 +126,6 @@ class NoiseSpec:
         """size independent noise draws."""
         return _LAWS[self.family].draw(self, rng, size)
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": list(self.params)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
         try:

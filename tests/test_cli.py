@@ -1,7 +1,10 @@
 """End-to-end CLI checks driven through main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 import unkloc
 from unkloc import cli, noise, sampling
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
-from unkloc.experiments import run
+from unkloc.experiments import load_rows_csv, run
 from unkloc.field import BandlimitedField
 from unkloc.sampling import generate_trace
 
@@ -277,6 +280,12 @@ def test_sweep_overrides(sweep_config, tmp_path, monkeypatch, capsys):
     assert note["slope"] is None
 
 
+def test_sweep_refuses_an_empty_grid_flag(sweep_config, tmp_path, capsys):
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o"), "--n", ""]) == EXIT_USAGE
+    assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")])
@@ -318,6 +327,49 @@ def test_sweep_rejects_non_finite_field_file(sweep_config, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+# finite coefficients whose sums overflow: evaluating the first leaves NaN in
+# the imaginary part of a real field, the second reads inf and estimates NaN
+OVERFLOWING_FIELDS = ['{"b": 1, "coeffs": [[1.5e308, -1.5e308], [0, 0], [1.5e308, 1.5e308]]}',
+                      '{"b": 1, "coeffs": [[1e308, 0], [0, 0], [1e308, 0]]}']
+
+
+@pytest.mark.parametrize("text", OVERFLOWING_FIELDS)
+def test_field_files_whose_coefficients_overflow_exit_usage(sweep_config, tmp_path, capsys, text):
+    field = tmp_path / "big.json"
+    field.write_text(text)
+    assert main(["estimate", "--field", str(field), "--n", "100"]) == EXIT_USAGE
+    assert "energy" in capsys.readouterr().err
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()),
+                                        "field": {"source": "file", "path": str(field)}}))
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "energy" in capsys.readouterr().err
+
+
+_COEFF = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _field_records(draw):
+    b = draw(st.integers(0, 2))
+    pairs = draw(st.lists(st.tuples(_COEFF, _COEFF), min_size=2 * b + 1, max_size=2 * b + 1))
+    if draw(st.booleans()):  # mirror the upper half: a conjugate-symmetric, real field
+        upper = pairs[b + 1:]
+        pairs = [(re, -im) for re, im in reversed(upper)] + [(pairs[b][0], 0.0)] + upper
+    return {"b": b, "coeffs": pairs}
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=_field_records())
+def test_estimate_on_any_finite_field_file_exits_ok_or_usage(tmp_path_factory, field):
+    where = tmp_path_factory.mktemp("field")
+    (where / "field.json").write_text(json.dumps(field))
+    code = main(["estimate", "--field", str(where / "field.json"), "--n", "64", "--noise", "uniform:0.5",
+                 "--out", str(where / "estimate.json")])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert "NaN" not in (where / "estimate.json").read_text()
+
+
 @pytest.mark.parametrize("patch", [
     {"delta": "x"},
     {"n_grid": 5},
@@ -352,6 +404,10 @@ def test_lambda_flag_is_gone(paper2_file, sweep_config, tmp_path, capsys, comman
     (["sweep"], {"field": {"source": "random", "b": 2, "seed": 1, "path": "x.json"}}, "path"),
     (["field-gen", "paper1", "--b", "3"], None, "b"),
     (["field-gen", "paper2", "--seed", "3"], None, "seed"),
+    (["sweep", "--delta", "0.5"], None, "delta"),  # the config mode is DistortionSweep
+    (["sweep"], {"riemann_k": 7}, "riemann_k"),
+    (["sweep"], {"b_max": 3}, "b_max"),
+    (["sweep"], {"mode": "EnergyMSE", "known_b": 3}, "known_b"),
 ])
 def test_unread_entries_exit_usage(paper2_file, sweep_config, tmp_path, capsys, argv, patch, key):
     if patch:
@@ -481,6 +537,89 @@ def test_replay_detects_tampered_rows(sweep_config, tmp_path, capsys, monkeypatc
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fault_sweep(tmp_path_factory):
+    """A BandwidthCurve config whose n = 100 cells are unrunnable (NaN rows), and its rows."""
+    where = tmp_path_factory.mktemp("faults")
+    config = where / "sweep.json"
+    config.write_text(json.dumps({
+        "mode": "BandwidthCurve", "field": {"source": "paper2"}, "renewal": {"family": "uniform"},
+        "noise": {"family": "uniform", "params": [0.5]}, "n_grid": [100, 2000], "trials": 2,
+        "master_seed": 3, "delta": 0.1, "b_max": 16,
+    }))
+    assert main(["sweep", "--config", str(config), "--out", str(where / "o")]) == EXIT_OK
+    return config, where / "o" / "rows.csv"
+
+
+def test_replay_verifies_fault_rows(fault_sweep, capsys):
+    # at n = 100 the threshold 0.1 - 100**(-1/3) is negative, so those cells are NaN rows
+    config, rows = fault_sweep
+    assert {math.isnan(rec["value"]) for rec in load_rows_csv(rows) if rec["n"] == 100} == {True}
+    capsys.readouterr()
+    for n in (100, 2000):
+        assert main(["replay", "--config", str(config), "--n", str(n), "--trial", "1",
+                     "--rows", str(rows)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] == ["coeff_check", "stop_check", "success"]
+        assert {math.isnan(value) for value in payload["metrics"].values()} == {n == 100}
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("a,b\n1,2\n", "['mode', 'n', 'trial', 'seed', 'metric', 'value']"),
+    ("mode,n,trial,seed,metric\nBandwidthCurve,100,0,1,success\n", "['value']"),
+])
+def test_replay_refuses_rows_without_the_row_columns(fault_sweep, tmp_path, capsys, text, missing):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(text)
+    assert main(["replay", "--config", str(fault_sweep[0]), "--n", "100", "--trial", "0",
+                 "--rows", str(rows)]) == EXIT_USAGE
+    assert f"lacks the rows CSV columns {missing}" in capsys.readouterr().err
+
+
+def _cell_records(path, n, trial):
+    return {rec["metric"]: (rec["seed"], rec["value"].hex())
+            for rec in load_rows_csv(path) if rec["n"] == n and rec["trial"] == trial}
+
+
+def _flag(cells):
+    """Mostly a cell of the fault sweep's grid, now and then one outside it or no integer."""
+    return st.sampled_from(cells * 4 + ["", "x", "-1", "99999", "1e3"])
+
+
+_ROW_CELL = st.text(max_size=6) | st.sampled_from(["nan", "0.0", "1.0", "100", "2000", "success", "-1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=_flag(["100", "2000"]), trial=_flag(["0", "1"]), data=st.data())
+def test_replay_fuzz_exits_ok_or_usage_and_faults_only_on_a_mismatch(fault_sweep, tmp_path_factory,
+                                                                   n, trial, data):
+    config, real = fault_sweep
+    table = [line.split(",") for line in real.read_text().splitlines()]
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = table[data.draw(st.integers(0, len(table) - 1))]
+        col = data.draw(st.integers(0, len(row) - 1))
+        cell = data.draw(st.none() | _ROW_CELL)
+        if cell is None:
+            del row[col]
+        else:
+            row[col] = cell
+    if data.draw(st.integers(0, 3)) == 0:  # now and then a table of any cells, or text that need not be CSV
+        table = data.draw(st.lists(st.lists(_ROW_CELL, max_size=7), max_size=4)
+                          | st.text(max_size=40).map(lambda text: [[text]]))
+    text = "\n".join(",".join(row) for row in table)
+    rows = tmp_path_factory.mktemp("rows") / "rows.csv"
+    rows.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["replay", "--config", str(config), f"--n={n}", f"--trial={trial}", "--rows", str(rows),
+                     "--out", os.devnull])
+    if code == EXIT_FAULT:  # only a recorded value that differs from the real one
+        assert "replay mismatch" in err.getvalue()
+        assert _cell_records(rows, int(n), int(trial)) != _cell_records(real, int(n), int(trial))
+    else:
+        assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
+
+
 def test_replay_without_rows_just_reports(sweep_config, capsys):
     code = main(["replay", "--config", str(sweep_config), "--n", "200", "--trial", "0"])
     assert code == EXIT_OK
@@ -546,16 +685,26 @@ def test_simulated_output_is_pinned(paper1_path, capsys, command, renewal):
 
 PINNED_SWEEPS = {
     "distortion": ({"mode": "DistortionSweep", "field": {"source": "paper1"}},
-                   ["--n", "200,400,800", "--trials", "3", "--seed", "5", "--delta", "0.2",
+                   ["--n", "200,400,800", "--trials", "3", "--seed", "5",
                     "--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3",
                     "--noise", "gaussian:0.5:4"]),
     "bandwidth": ({"mode": "BandwidthCurve", "field": {"source": "paper2"}, "b_max": 16},
                   ["--n", "2000,4000", "--trials", "2", "--seed", "9", "--delta", "0.15",
                    "--renewal", "triangular", "--noise", "uniform:0.5"]),
+    "grid": ({"mode": "GridDeviation", "field": {"source": "paper1"}},
+             ["--n", "200,400,800", "--trials", "3", "--seed", "6", "--renewal", "triangular"]),
+    "energy": ({"mode": "EnergyMSE", "field": {"source": "random", "b": 4, "seed": 2}},
+               ["--n", "200,400,800", "--trials", "3", "--seed", "7", "--noise", "rademacher:0.3"]),
+    "riemann": ({"mode": "RiemannError", "field": {"source": "paper1"}, "riemann_k": 2},
+                ["--n", "50,100,200", "--trials", "3", "--seed", "8",
+                 "--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3"]),
 }
 PINNED_SWEEP_DIGESTS = {
     "distortion": ("6147d76ec69ec0a3", "b47233b50d8bb077", "5cda6485d126cb10"),
     "bandwidth": ("15799e938ce0b861", "92938cf418f67134", "a5fdfe006dc29e2d"),
+    "grid": ("17b83979ed2d5752", "fd91699a308b23e5", "a5fdfe006dc29e2d"),
+    "energy": ("cb48da0ee1576133", "915ac0ddc7db33c5", "071c01c0cdb8565b"),
+    "riemann": ("79c2a0b795011c7b", "ec1c04471a89d3e1", "a5fdfe006dc29e2d"),
 }
 
 

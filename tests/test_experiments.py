@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from unkloc import experiments
 from unkloc.errors import ConfigError
 from unkloc.experiments import (
+    MODES,
     ExperimentConfig,
     FieldSource,
     RenewalFamily,
     fit_loglog_slope,
     load_rows_csv,
     run,
+    run_cell,
     run_trial,
     write_rows_csv,
     write_slope_json,
@@ -37,6 +40,13 @@ def _config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _record(**kw):
+    """The config record of _config(), with the entries in kw set."""
+    return {"mode": "DistortionSweep", "field": {"source": "paper1"}, "renewal": {"family": "uniform"},
+            "noise": {"family": "uniform", "params": [1.0]}, "n_grid": [200, 400, 800],
+            "trials": 4, "master_seed": 11, **kw}
 
 
 # slope fitting ---------------------------------------------------------------
@@ -80,22 +90,47 @@ def test_slope_rejects_short_input():
 
 
 def test_config_round_trip():
+    # a record parses to the config it describes
     cfg = _config(mode="BandwidthCurve", field_source=FieldSource(kind="paper2"),
                   n_grid=(1000, 2000, 4000), delta=0.2, b_max=16)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig.from_dict(_record(mode="BandwidthCurve", field={"source": "paper2"},
+                                               n_grid=[1000, 2000, 4000], delta=0.2, b_max=16))
     assert again == cfg
 
 
 def test_config_round_trip_random_source():
     cfg = _config(field_source=FieldSource(kind="random", b=4, seed=9))
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig.from_dict(_record(field={"source": "random", "b": 4, "seed": 9}))
     assert again == cfg
     assert np.array_equal(again.field_source.resolve().coeffs,
                           cfg.field_source.resolve().coeffs)
 
 
+def test_each_mode_refuses_the_entries_it_does_not_read():
+    reads = {"DistortionSweep": {"known_b"}, "BandwidthCurve": {"delta", "b_max"},
+             "GridDeviation": set(), "EnergyMSE": set(), "RiemannError": {"riemann_k"}}
+    assert set(reads) == set(MODES)
+    for mode in MODES:
+        for key, value in (("known_b", 3), ("delta", 0.2), ("b_max", 16), ("riemann_k", 1)):
+            record = _record(mode=mode, field={"source": "paper2"}, n_grid=[2000, 4000], **{key: value})
+            if key in reads[mode]:
+                assert getattr(ExperimentConfig.from_dict(record), key) == value
+            else:
+                with pytest.raises(ConfigError, match=rf"^{mode} mode does not read \['{key}'\]$"):
+                    ExperimentConfig.from_dict(record)
+    with pytest.raises(ConfigError, match=r"DistortionSweep mode does not read \['b_max', 'riemann_k'\]"):
+        ExperimentConfig.from_dict(_record(riemann_k=7, b_max=3))
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert ExperimentConfig.load(path).mode in MODES
+
+
 def test_config_rejects_unknown_keys():
-    data = _config().to_dict()
+    data = _record()
     data["typo_key"] = 1
     with pytest.raises(ConfigError, match="typo_key"):
         ExperimentConfig.from_dict(data)
@@ -133,7 +168,7 @@ def test_config_load_reports_json_position(tmp_path):
 def test_config_load_round_trip(tmp_path):
     cfg = _config()
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(_record()))
     assert ExperimentConfig.load(path) == cfg
 
 
@@ -175,7 +210,7 @@ def test_records_refuse_entries_their_kind_does_not_read():
 
 def test_renewal_family_takes_the_spec_shape_defaults():
     family = RenewalFamily.from_dict({"family": "scaled_beta", "alpha": None})
-    assert family.to_dict() == {"family": "scaled_beta", "alpha": 2.0, "beta": 2.0}
+    assert family == RenewalFamily(kind="scaled_beta", alpha=2.0, beta=2.0)
     assert family.spec_for(10).lam == 2.0
     assert RenewalFamily.from_dict({"family": "scaled_beta", "beta": 6.0}).spec_for(10).lam == 4.0
     with pytest.raises(ConfigError):
@@ -183,7 +218,7 @@ def test_renewal_family_takes_the_spec_shape_defaults():
 
 
 def test_config_applies_the_detector_rules_at_load():
-    data = _config().to_dict()
+    data = _record(mode="BandwidthCurve", field={"source": "paper2"})
     for key, value in (("delta", 0.0), ("delta", float("nan")), ("b_max", -1), ("b_max", 2.5)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({**data, key: value})
@@ -195,29 +230,29 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 
-# one valid config that exercises every key, nested ones included
-_VALID = {
-    "mode": "BandwidthCurve",
+# one valid config of each mode that reads entries of its own; together
+# they exercise every key, nested ones included
+_SHARED = {
     "field": {"source": "random", "b": 3, "seed": 5},
     "renewal": {"family": "scaled_beta", "alpha": 1.5, "beta": 3.0},
     "noise": {"family": "gaussian", "params": [0.5, 4.0]},
     "n_grid": [2000, 4000],
     "trials": 3,
     "master_seed": 7,
-    "known_b": 3,
-    "delta": 0.2,
-    "b_max": 16,
-    "riemann_k": 1,
 }
-_KEY_PATHS = [(key,) for key in _VALID] + [
-    (record, key) for record in ("field", "renewal", "noise") for key in _VALID[record]
+_VALID = {**_SHARED, "mode": "BandwidthCurve", "delta": 0.2, "b_max": 16}
+_VALID_RECORDS = [_VALID, {**_SHARED, "mode": "DistortionSweep", "known_b": 3},
+                  {**_SHARED, "mode": "RiemannError", "riemann_k": 1}]
+_KEY_PATHS = [(i, (key,)) for i, record in enumerate(_VALID_RECORDS) for key in record] + [
+    (0, (record, key)) for record in ("field", "renewal", "noise") for key in _VALID[record]
 ]
 
 
 @settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(_KEY_PATHS), value=_JSON)
-def test_config_with_any_one_value_replaced_loads_or_raises_config_error(path, value):
-    data = json.loads(json.dumps(_VALID))
+@given(where=st.sampled_from(_KEY_PATHS), value=_JSON)
+def test_config_with_any_one_value_replaced_loads_or_raises_config_error(where, value):
+    index, path = where
+    data = json.loads(json.dumps(_VALID_RECORDS[index]))
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -252,6 +287,34 @@ def test_single_cell_replay_matches_sweep_row():
     row = result.rows[7]
     again = run_trial(cfg, row.n, row.seed)
     assert again[row.metric] == row.value
+
+
+# a small sweep of each mode; the BandwidthCurve one faults at n = 100
+_SMALL_SWEEPS = {
+    "DistortionSweep": {"known_b": 4},
+    "BandwidthCurve": {"field": {"source": "paper2"}, "n_grid": [100, 2000], "b_max": 16},
+    "GridDeviation": {"renewal": {"family": "triangular"}},
+    "EnergyMSE": {"noise": {"family": "rademacher", "params": [0.3]}},
+    "RiemannError": {"riemann_k": 2, "renewal": {"family": "scaled_beta", "alpha": 1.5}},
+}
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()  # tells apart every distinct double, and matches NaN to NaN
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=3, deadline=None)
+@given(master_seed=st.integers(0, 2**64 - 1))
+def test_every_row_replays_bit_exactly_at_one_and_two_workers(mode, master_seed):
+    cfg = ExperimentConfig.from_dict(_record(mode=mode, trials=2, master_seed=master_seed,
+                                             **{"n_grid": [100, 200], **_SMALL_SWEEPS[mode]}))
+    rows = run(cfg).rows
+    assert [(r.n, r.trial, r.seed, r.metric, _bits(r.value)) for r in rows] == [
+        (r.n, r.trial, r.seed, r.metric, _bits(r.value)) for r in run(cfg, workers=2).rows]
+    for row in rows:
+        seed, values = run_cell(cfg, row.n, row.trial)
+        assert (seed, _bits(values[row.metric])) == (row.seed, _bits(row.value))
 
 
 def test_summary_mean_is_arithmetic_mean():

@@ -1,9 +1,8 @@
 """Field construction, evaluation, and the exact reference quantities.
 
-Oracles used here: a plain-Python direct summation for point values, a
-trapezoid quadrature for the energy integral, and central finite
-differences for derivative bounds.  None of them share code with the
-package paths they check.
+Oracles used here: a plain-Python direct summation for point values and a
+trapezoid quadrature for the energy integral.  Neither shares code with the
+package paths it checks.
 """
 
 import cmath
@@ -42,13 +41,6 @@ def quadrature_energy(field, intervals=2**16):
     x = np.linspace(0.0, 1.0, intervals + 1)
     g = np.abs(field.evaluate(x)) ** 2
     return float(np.trapezoid(g, x))
-
-
-def fd_grid_max_derivative(field, grid=DENSE_GRID):
-    """Grid max of |g'| by central differences (periodic wrap)."""
-    x = np.arange(grid) / grid
-    g = field.evaluate(x)
-    return float(np.max(np.abs((np.roll(g, -1) - np.roll(g, 1)) * (grid / 2.0))))
 
 
 # reference coefficient sets --------------------------------------------------
@@ -152,33 +144,6 @@ def test_real_field_residual_check_survives_optimize():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
-
-
-# derivative bound ------------------------------------------------------------
-
-
-def test_derivative_bound_zero_bandwidth():
-    f = BandlimitedField(b=0, coeffs=np.array([0.9 + 0j]))
-    assert f.derivative_bound() == 0.0
-
-
-def test_derivative_bound_pure_tone():
-    # g = cos(2 pi x): sup|g| = 1, bound = 2 pi, and sup|g'| = 2 pi exactly
-    f = BandlimitedField(b=1, coeffs=np.array([0.5, 0.0, 0.5], dtype=complex))
-    assert f.derivative_bound() == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert fd_grid_max_derivative(f) <= f.derivative_bound() + 1e-6
-
-
-@pytest.mark.parametrize("name", ["paper1", "paper2"])
-def test_derivative_bound_dominates_fd_grid(name):
-    f = reference_field(name)
-    assert fd_grid_max_derivative(f) <= f.derivative_bound() + 1e-6
-
-
-def test_derivative_bound_random_fields():
-    for seed in range(30):
-        f = random_field(5, seed)
-        assert fd_grid_max_derivative(f) <= f.derivative_bound() + 1e-6
 
 
 # energy ----------------------------------------------------------------------

@@ -147,11 +147,11 @@ def test_non_finite_params_rejected():
 
 
 def test_spec_round_trip():
-    for spec in (
-        NoiseSpec.uniform_sym(0.4),
-        NoiseSpec("gaussian", (0.2, 4.0)),
-        NoiseSpec("rademacher", (1.0,)),
-        NoiseSpec("zero"),
+    # a record parses to the spec it describes
+    for record, spec in (
+        ({"family": "uniform", "params": [0.4]}, NoiseSpec.uniform_sym(0.4)),
+        ({"family": "gaussian", "params": [0.2, 4.0]}, NoiseSpec("gaussian", (0.2, 4.0))),
+        ({"family": "rademacher", "params": [1.0]}, NoiseSpec("rademacher", (1.0,))),
+        ({"family": "zero"}, NoiseSpec("zero")),
     ):
-        again = NoiseSpec.from_dict(spec.to_dict())
-        assert again == spec
+        assert NoiseSpec.from_dict(record) == spec
