@@ -1,4 +1,4 @@
-"""Shared exception type and the integer check every config record uses."""
+"""Shared exception type and the checks every config record uses."""
 
 
 class ConfigError(ValueError):
@@ -16,3 +16,11 @@ def whole(name: str, value, low: int | None = None) -> int:
         pass
     bound = "" if low is None else f" >= {low}"
     raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def refuse_unread(record: dict, what: str, reads: tuple[str, ...]) -> None:
+    """A ConfigError naming every entry of record that is set (not null)
+    but is not one of the keys in reads."""
+    unread = sorted(key for key, value in record.items() if value is not None and key not in reads)
+    if unread:
+        raise ConfigError(f"{what} does not read {unread}")

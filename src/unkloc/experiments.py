@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bandwidth import BandwidthConfig, detect_bandwidth
-from .errors import ConfigError, whole
+from .errors import ConfigError, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field, riemann_coefficient
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
@@ -32,14 +32,6 @@ from .sampling import RenewalSpec, SampleTrace, acquire, generate_trace, grid_de
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
 SLOPE_FLOOR = 1e-25
-
-
-def _refuse_unread(record: dict, what: str, reads: tuple[str, ...]) -> None:
-    """A ConfigError naming every entry of record that is set (not null)
-    but is not one of the keys in reads."""
-    unread = sorted(key for key, value in record.items() if value is not None and key not in reads)
-    if unread:
-        raise ConfigError(f"{what} does not read {unread}")
 
 
 # the record keys each field source reads besides "source"
@@ -78,7 +70,7 @@ class FieldSource:
         if kind is None:
             raise ConfigError("field record needs a 'source' entry")
         source = cls(kind=str(kind), b=data.get("b"), seed=data.get("seed"), path=data.get("path"))
-        _refuse_unread(data, f"{source.kind} field source", ("source", *_SOURCE_KEYS[source.kind]))
+        refuse_unread(data, f"{source.kind} field source", ("source", *_SOURCE_KEYS[source.kind]))
         return source
 
 
@@ -105,8 +97,8 @@ class RenewalFamily:
             raise ConfigError("renewal record needs a 'family' entry")
         shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
         family = cls(kind=str(kind), **shape)
-        _refuse_unread(data, f"{family.kind} renewal law",
-                       ("family", "alpha", "beta") if family.kind == "scaled_beta" else ("family",))
+        refuse_unread(data, f"{family.kind} renewal law",
+                      ("family", "alpha", "beta") if family.kind == "scaled_beta" else ("family",))
         return family
 
 
@@ -171,7 +163,7 @@ class ExperimentConfig:
             except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
                 raise ConfigError(f"config entry {key!r}: {exc}") from exc
         config = cls(**entries)
-        _refuse_unread(data, f"{config.mode} mode", (*_SHARED, *_MODES[config.mode].reads))
+        refuse_unread(data, f"{config.mode} mode", (*_SHARED, *_MODES[config.mode].reads))
         return config
 
     @classmethod
@@ -223,9 +215,6 @@ class ExperimentResult:
     slope: SlopeFit | None
     slope_note: str | None = None
 
-    def summary_for(self, metric: str) -> dict[int, SummaryRow]:
-        return {row.n: row for row in self.summary if row.metric == metric}
-
 
 # trial steps: each scores one trace (with readings if its mode acquires
 # them) and returns its mode's metrics in order.  They call the layer
@@ -252,7 +241,11 @@ def _grid_gap(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTr
 
 
 def _energy_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
-    return ((energy_estimate(trace.readings, config.noise.variance) - truth.energy()) ** 2,)
+    gap = energy_estimate(trace.readings, config.noise.variance) - truth.energy()
+    try:
+        return (gap**2,)
+    except OverflowError:  # a Python float square past the largest double raises; it reads inf
+        return (math.inf,)
 
 
 def _riemann_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:

@@ -1,9 +1,8 @@
 """Periodic bandlimited fields on [0, 1).
 
 A field is g(x) = sum_{k=-b..b} a[k] exp(j 2 pi k x), stored as the dense
-coefficient vector a[-b..b].  Conjugate-symmetric coefficients make g
-real-valued; that is the case of interest, but complex-valued fields are
-supported everywhere except the real-output fast path of ``evaluate``.
+coefficient vector a[-b..b].  The coefficients must be conjugate-symmetric,
+a[-k] == conj(a[k]) exactly, so every field is real-valued.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ DENSE_GRID = 8192
 
 @dataclass(frozen=True)
 class BandlimitedField:
-    """Coefficient vector ``coeffs`` ordered k = -b..b."""
+    """Coefficient vector ``coeffs`` ordered k = -b..b, finite and
+    conjugate-symmetric; ``from_dict`` also needs a finite energy."""
 
     b: int
     coeffs: np.ndarray
@@ -37,6 +37,10 @@ class BandlimitedField:
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        if not np.all(np.isfinite(c)):  # first, as a NaN also breaks the symmetry below
+            raise ValueError(f"field coefficients must be finite, got {c[~np.isfinite(c)][:3]}")
+        if not np.array_equal(c[::-1], np.conj(c)):
+            raise ValueError("field coefficients must be conjugate-symmetric, a[-k] == conj(a[k])")
 
     def coefficient(self, k: int) -> complex:
         """a[k], with harmonics outside -b..b read as zero."""
@@ -44,29 +48,20 @@ class BandlimitedField:
             return 0j
         return complex(self.coeffs[self.b + k])
 
-    @property
-    def is_real(self) -> bool:
-        """True when the coefficients are exactly conjugate-symmetric."""
-        return bool(np.array_equal(self.coeffs[::-1], np.conj(self.coeffs)))
-
     def evaluate(self, x):
-        """Field value(s) at x (period 1).
+        """Real field value(s) at x (period 1); scalar input gives scalar output.
 
-        Returns a real array for conjugate-symmetric fields (the residual
-        imaginary part is checked against 1e-9 and dropped), complex
-        otherwise.  Scalar input gives scalar output.
+        g(x) = a[0] + sum_{k=1..b} 2 Re(a[k] e^k) with e = exp(j 2 pi x).
+        a[-k] e^-k is the exact conjugate of a[k] e^k, so this is bit for bit
+        the real part of the full sum over -b..b.
         """
         x = np.asarray(x, dtype=float)
         e1 = np.exp(2j * np.pi * x)
-        val = np.full(x.shape, self.coefficient(0), dtype=complex)
+        val = np.full(x.shape, self.coeffs[self.b].real)
         ek = np.ones_like(e1)
         for k in range(1, self.b + 1):
             ek = ek * e1
-            val += self.coeffs[self.b + k] * ek + self.coeffs[self.b - k] * np.conj(ek)
-        if self.is_real:
-            if not np.max(np.abs(val.imag), initial=0.0) < 1e-9:
-                raise RuntimeError("a conjugate-symmetric field evaluated to a complex value")
-            val = val.real
+            val += 2.0 * (self.coeffs[self.b + k] * ek).real
         return val[()] if val.ndim == 0 else val
 
     def dynamic_range(self, grid: int = DENSE_GRID) -> float:
@@ -93,11 +88,11 @@ class BandlimitedField:
             coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"field record must carry 'b' and 'coeffs' as [re, im] pairs: {exc}")
+        field = cls(b=b, coeffs=coeffs)
         with np.errstate(over="ignore"):  # a sum of squares that overflows is what this refuses
-            energy = np.sum(np.abs(coeffs) ** 2)
-        if not np.isfinite(energy):
-            raise ValueError("field coefficients must be finite, and so must their energy sum |a[k]|**2")
-        return cls(b=b, coeffs=coeffs)
+            if not np.isfinite(field.energy()):
+                raise ValueError("the energy sum |a[k]|**2 of the field coefficients must be finite")
+        return field
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
@@ -149,7 +144,7 @@ def random_field(b: int, seed: int) -> BandlimitedField:
     return field
 
 
-# Built-in benchmark coefficient sets (conjugate-mirrored to real fields).
+# Built-in benchmark coefficient sets for k >= 0 (mirrored by conjugation).
 # Selector names match the CLI tokens.
 REFERENCE_COEFFS = {
     "paper1": {0: 0.2445 + 0j, 1: -0.0357 + 0.0478j, 2: 0.0978 + 0.0729j, 3: -0.1796 - 0.0756j},

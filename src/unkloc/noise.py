@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, refuse_unread
 
 DEFAULT_GAUSSIAN_CUT = 6.0
 
@@ -129,6 +129,8 @@ class NoiseSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
         try:
-            return cls(str(data["family"]), tuple(data.get("params", ())))
+            spec = cls(str(data["family"]), tuple(data.get("params", ())))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"noise record must carry 'family' and 'params': {exc}")
+        refuse_unread(data, f"{spec.family} noise", ("family", "params"))
+        return spec

@@ -85,7 +85,7 @@ def test_detection_success_rises_to_certainty():
         delta=0.1,
     )
     result = run(config)
-    success = [result.summary_for("success")[n].mean for n in config.n_grid]
+    success = [row.mean for row in result.summary if row.metric == "success"]
     monotone = all(a <= b for a, b in zip(success, success[1:]))
     ok = monotone and success[-1] >= 0.9
     _report(
@@ -106,7 +106,7 @@ def test_grid_deviation_scales_like_one_over_n():
         master_seed=SEED,
     )
     result = run(config)
-    scaled = [n * result.summary_for("grid_deviation")[n].mean for n in config.n_grid]
+    scaled = [row.n * row.mean for row in result.summary if row.metric == "grid_deviation"]
     ok = max(scaled) / min(scaled) < 10.0 and all(0.0 < s < 1.0 for s in scaled)
     _report(
         "sample-location grid deviation scale",

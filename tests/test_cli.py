@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,7 +76,7 @@ def test_field_gen_random(tmp_path):
     assert main(["field-gen", "--b", "3", "--seed", "5", "--out", str(path)]) == EXIT_OK
     field = BandlimitedField.load(path)
     assert field.b == 3
-    assert field.is_real
+    assert np.array_equal(field.coeffs[::-1], np.conj(field.coeffs))
     path2 = tmp_path / "r2.json"
     main(["field-gen", "--b", "3", "--seed", "5", "--out", str(path2)])
     assert path.read_bytes() == path2.read_bytes()
@@ -327,6 +328,47 @@ def test_sweep_rejects_non_finite_field_file(sweep_config, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+ASYMMETRIC_FIELD = '{"b": 1, "coeffs": [[0.5, 0.1], [0.2, 0], [0.5, 0.1]]}'  # a[-1] is not conj(a[1])
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_field_files_that_are_not_conjugate_symmetric_exit_usage(sweep_config, tmp_path, capsys, command):
+    field = tmp_path / "asym.json"
+    field.write_text(ASYMMETRIC_FIELD)
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()),
+                                        "field": {"source": "file", "path": str(field)}}))
+    where = (["--config", str(sweep_config), "--out", str(tmp_path / "o")] if command == "sweep"
+             else ["--field", str(field), "--n", "100"])
+    assert main([command, *where]) == EXIT_USAGE
+    assert "conjugate-symmetric" in capsys.readouterr().err
+
+
+def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_path, capsys):
+    # finite field energy 2e200, but an energy error near 1e200 squares past the largest double
+    field = tmp_path / "big.json"
+    field.write_text('{"b": 1, "coeffs": [[1e100, 0], [0, 0], [1e100, 0]]}')
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "mode": "EnergyMSE",
+                                        "field": {"source": "file", "path": str(field)}}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out), "--trials", "2"]) == EXIT_OK
+    rows = load_rows_csv(out / "rows.csv")
+    assert {rec["value"] for rec in rows if rec["n"] == 400} == {math.inf}
+    capsys.readouterr()
+    assert main(["replay", "--config", str(sweep_config), "--n", "400", "--trial", "1",
+                 "--rows", str(out / "rows.csv")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["metrics"] == {"energy_sq_error": math.inf}
+
+
+def test_sweep_on_a_field_near_the_energy_limit_runs(sweep_config, tmp_path):
+    # the file's energy 1.62e308 is finite, but at these n estimates overflow
+    # their own energy sum; they must still score (inf or huge distortion rows)
+    field = tmp_path / "near.json"
+    field.write_text('{"b": 1, "coeffs": [[9e153, 0], [0, 0], [9e153, 0]]}')
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "n_grid": [3, 5, 8],
+                                        "trials": 10, "field": {"source": "file", "path": str(field)}}))
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 # finite coefficients whose sums overflow: evaluating the first leaves NaN in
 # the imaginary part of a real field, the second reads inf and estimates NaN
 OVERFLOWING_FIELDS = ['{"b": 1, "coeffs": [[1.5e308, -1.5e308], [0, 0], [1.5e308, 1.5e308]]}',
@@ -408,6 +450,7 @@ def test_lambda_flag_is_gone(paper2_file, sweep_config, tmp_path, capsys, comman
     (["sweep"], {"riemann_k": 7}, "riemann_k"),
     (["sweep"], {"b_max": 3}, "b_max"),
     (["sweep"], {"mode": "EnergyMSE", "known_b": 3}, "known_b"),
+    (["sweep"], {"noise": {"family": "zero", "sigma": 3, "params": []}}, "sigma"),
 ])
 def test_unread_entries_exit_usage(paper2_file, sweep_config, tmp_path, capsys, argv, patch, key):
     if patch:

@@ -9,17 +9,20 @@ coefficient, with an ordinary least-squares fit done inline.
 
 import cmath
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkloc import estimator
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
 from unkloc.estimator import (
     energy_estimate,
     estimate_coefficient,
     estimate_field,
+    harmonic_pairs,
     riemann_coefficient,
 )
 from unkloc.field import BandlimitedField, random_field, reference_field
@@ -83,9 +86,32 @@ def test_estimate_field_layout_and_symmetry():
     y = rng.uniform(-1.0, 1.0, size=77)
     est = estimate_field(y, 3)
     assert est.b == 3
-    assert est.is_real
+    assert np.array_equal(est.coeffs[::-1], np.conj(est.coeffs))
     for k in range(-3, 4):
         assert est.coefficient(k) == estimate_coefficient(y, k)
+
+
+def _bits(c):
+    return c.real.hex(), c.imag.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 200), k=st.integers(-20, 20))
+def test_coefficient_is_the_scan_entry_bit_for_bit(seed, m, k):
+    # one projection of harmonic |k| gives the bits the full scan gives there
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    y = np.round(rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 3)))  # exact zeros too
+    plus, minus = next(islice(harmonic_pairs(y), abs(k), None))
+    assert _bits(estimate_coefficient(y, k)) == _bits(plus if k >= 0 else minus)
+
+
+def test_coefficient_projects_only_its_harmonic(monkeypatch):
+    projected = []
+    project = estimator._project
+    monkeypatch.setattr(estimator, "_project", lambda y, w: projected.append(w) or project(y, w))
+    y = np.linspace(-1.0, 1.0, 50)
+    estimate_coefficient(y, -7)
+    assert len(projected) == 1
 
 
 def test_estimate_rejects_empty_or_matrix():
@@ -95,27 +121,25 @@ def test_estimate_rejects_empty_or_matrix():
         estimate_coefficient(np.ones((3, 3)), 0)
 
 
-def test_complex_readings_match_oracle_at_plus_and_minus_k():
-    # complex readings need not be conjugate-symmetric, so -k is its own sum
-    rng = np.random.Generator(np.random.Philox(key=34))
-    y = rng.normal(size=61) + 1j * rng.normal(size=61)
-    est = estimate_field(y, 5)
-    for k in range(-5, 6):
-        expected = project_oracle(y, k)
-        assert estimate_coefficient(y, k) == pytest.approx(expected, abs=1e-10)
-        assert est.coefficient(k) == estimate_coefficient(y, k)
-    assert est.coefficient(-2) != pytest.approx(est.coefficient(2).conjugate(), abs=1e-3)
+@pytest.mark.parametrize("estimate", [
+    lambda y: estimate_coefficient(y, 1),
+    lambda y: estimate_field(y, 2),
+    lambda y: energy_estimate(y, 0.0),
+    lambda y: detect_bandwidth(y, BandwidthConfig(delta=0.5, sigma2=0.0, n=100)),
+])
+def test_complex_readings_are_refused(estimate):
+    # the field is real, so are its readings; a complex vector is a caller error
+    y = np.full(100, 0.5 + 0j)
+    with pytest.raises(ValueError, match="real"):
+        estimate(y)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 120), b=st.integers(0, 12),
-       complex_readings=st.booleans())
-def test_estimates_never_exceed_largest_reading(seed, m, b, complex_readings):
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 120), b=st.integers(0, 12))
+def test_estimates_never_exceed_largest_reading(seed, m, b):
     # averaging unit-modulus phases cannot beat the largest reading
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = rng.uniform(-1.0, 1.0, size=m)
-    if complex_readings:
-        y = y + 1j * rng.uniform(-1.0, 1.0, size=m)
     bound = float(np.max(np.abs(y))) + 1e-12
     assert np.all(np.abs(estimate_field(y, b).coeffs) <= bound)
 

@@ -366,7 +366,7 @@ def test_bandwidth_curve_fault_rows_are_nan():
     assert len(bad) == 9
     assert all(math.isnan(r.value) for r in bad)
     assert all(not math.isnan(r.value) for r in result.rows if r.n == 2000)
-    summary = result.summary_for("success")
+    summary = {row.n: row for row in result.summary if row.metric == "success"}
     assert summary[8].count == 0
     assert math.isnan(summary[8].mean)
     assert summary[2000].count == 3

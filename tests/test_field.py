@@ -54,7 +54,7 @@ def test_reference_field_one_matches_hand_values():
     assert f.coefficient(-1) == -0.0357 - 0.0478j
     assert f.coefficient(3) == -0.1796 - 0.0756j
     assert f.coefficient(4) == 0j
-    assert f.is_real
+    assert np.array_equal(f.coeffs[::-1], np.conj(f.coeffs))
 
 
 def test_reference_field_two_is_sparse():
@@ -102,12 +102,56 @@ def test_evaluate_scalar_in_scalar_out():
     assert isinstance(float(out), float)
 
 
-def test_evaluate_complex_for_asymmetric_field():
-    f = BandlimitedField(b=1, coeffs=np.array([0j, 0j, 1.0 + 0j]))
-    assert not f.is_real
-    out = f.evaluate(np.array([0.3]))
-    assert np.iscomplexobj(out)
-    assert out[0] == pytest.approx(cmath.exp(2j * math.pi * 0.3), abs=1e-12)
+@pytest.mark.parametrize("coeffs", [
+    [0j, 0j, 1.0 + 0j],  # a[-1] = 0 is not conj(a[1]) = 1
+    [0.5 + 0.5j, 0.1j, 0.5 + 0.5j],  # a[0] is not real, a[-1] is not conj(a[1])
+    [0.5 - 0.5j, 0.1, np.nextafter(0.5, 1.0) + 0.5j],  # symmetric only to within one ulp
+])
+def test_constructor_refuses_coefficients_that_are_not_conjugate_symmetric(coeffs):
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        BandlimitedField(b=1, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [1.0, 0.0, np.inf], [1.0, complex(0.0, np.nan), 1.0]])
+def test_constructor_names_non_finite_coefficients_before_asymmetry(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        BandlimitedField(b=1, coeffs=coeffs)
+
+
+def test_only_a_field_record_needs_a_finite_energy():
+    # an estimate of a field near the energy limit may overflow its own
+    # energy sum; only the record a field is read from is held to it
+    big = [1e200, 0.0, 1e200]
+    with np.errstate(over="ignore"):
+        assert BandlimitedField(b=1, coeffs=big).energy() == math.inf
+    with pytest.raises(ValueError, match="energy"):
+        BandlimitedField.from_dict({"b": 1, "coeffs": [[c, 0.0] for c in big]})
+
+
+def old_complex_sum(field, x):
+    """The evaluation formula before fields were real by construction: the
+    full complex sum a[k] e^k + a[-k] conj(e^k), then its real part."""
+    x = np.asarray(x, dtype=float)
+    e1 = np.exp(2j * np.pi * x)
+    val = np.full(x.shape, field.coefficient(0), dtype=complex)
+    ek = np.ones_like(e1)
+    for k in range(1, field.b + 1):
+        ek = ek * e1
+        val += field.coeffs[field.b + k] * ek + field.coeffs[field.b - k] * np.conj(ek)
+    assert np.all(val.imag == 0.0)  # for conjugate-symmetric coefficients the parts cancel exactly
+    return val.real
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(0, 40), m=st.integers(0, 300),
+       scale=st.sampled_from([1.0, 1e-300, 1e150]))
+def test_evaluate_is_bit_identical_to_the_complex_sum(seed, b, m, scale):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    f = BandlimitedField(b=b, coeffs=random_field(b, seed).coeffs * scale)
+    x = np.concatenate([rng.random(m), [0.0, 0.25, 0.5, -0.0]])
+    got = f.evaluate(x)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in old_complex_sum(f, x).tolist()]
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,32 +162,30 @@ def test_evaluate_periodicity(seed, b, x):
     assert f.evaluate(x) == pytest.approx(f.evaluate(x - 1.0), abs=1e-9)
 
 
-def test_real_field_residual_imag_is_tiny():
-    # the evaluate path checks |Im| < 1e-9 before dropping it; probe densely
+def test_evaluate_returns_real_values():
     f = reference_field("paper1")
     x = np.arange(DENSE_GRID) / DENSE_GRID
     vals = f.evaluate(x)
     assert np.isrealobj(vals)
 
 
-def test_real_field_residual_check_survives_optimize():
-    # an infinite conjugate-symmetric pair leaves NaN in the imaginary part;
-    # the check must raise even under python -O, which strips asserts
+def test_constructor_refuses_non_finite_coefficients_under_optimize():
+    # an infinite conjugate-symmetric pair would evaluate to inf and NaN; the
+    # refusal must hold even under python -O, which strips asserts
     code = (
         "import numpy as np\n"
         "from unkloc.field import BandlimitedField\n"
-        "f = BandlimitedField(b=1, coeffs=[np.inf, 0.0, np.inf])\n"
         "try:\n"
-        "    f.evaluate(np.array([0.1, 0.3]))\n"
-        "except RuntimeError:\n"
-        "    print('raised')\n"
+        "    BandlimitedField(b=1, coeffs=[np.inf, 0.0, np.inf])\n"
+        "except ValueError as exc:\n"
+        "    print('raised', 'finite' in str(exc))\n"
     )
     src = str(Path(unkloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.strip() == "raised True"
 
 
 # energy ----------------------------------------------------------------------
@@ -225,7 +267,7 @@ def test_random_field_deterministic():
 
 def test_random_field_is_conjugate_symmetric():
     f = random_field(7, 99)
-    assert f.is_real
+    assert np.array_equal(f.coeffs[::-1], np.conj(f.coeffs))
     assert f.coefficient(0).imag == 0.0
 
 
