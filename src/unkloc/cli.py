@@ -2,7 +2,7 @@
 
 Subcommands: field-gen, estimate, detect, sweep, replay.  Exit codes:
 0 success, 2 usage or config error, 3 detection hit its bandwidth cap,
-4 internal fault.  UNKLOC_THREADS caps sweep worker parallelism.
+4 internal fault.  UNKLOC_THREADS sets the sweep's worker processes.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def cmd_detect(args) -> int:
 
 
 def _workers_from_env() -> int:
-    """UNKLOC_THREADS, capped at the CPU count (the pool may start a thread per cell)."""
+    """UNKLOC_THREADS, the number of sweep worker processes, capped at the CPU count."""
     raw = os.environ.get("UNKLOC_THREADS", "").strip()
     if not raw:
         return 1

@@ -15,7 +15,6 @@ import csv
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -300,15 +299,34 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
         return seed, dict.fromkeys(_MODES[config.mode].metrics, math.nan)
 
 
+def _run_cells(cell, cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
+    """cell(n, trial) for each cell, in order: one worker's share of a sweep."""
+    return [cell(n, t) for n, t in cells]
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Full sweep over config.n_grid x config.trials."""
+    """Full sweep over config.n_grid x config.trials.
+
+    With workers > 1, each of min(workers, cells) forked processes runs one
+    interleaved slice of the cells.  Every cell's seed is derived from the
+    cell, so the rows are the same at any worker count."""
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
     cell = functools.partial(run_cell, config, truth=config.field_source.resolve())
+    workers = min(workers, len(cells))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(cell, *zip(*cells)))
+        # imported here: at module level they add about 14 ms to every CLI
+        # start-up.  A forked worker inherits this process's modules, patched
+        # layers included, and a trial's fault reaches the caller.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        outcomes = [None] * len(cells)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = [pool.submit(_run_cells, cell, cells[w::workers]) for w in range(workers)]
+            for w, part in enumerate(parts):
+                outcomes[w::workers] = part.result()
     else:
-        outcomes = list(map(cell, *zip(*cells)))
+        outcomes = _run_cells(cell, cells)
     metric_names = _MODES[config.mode].metrics
     rows = tuple(
         TrialRow(n=n, trial=t, seed=seed, metric=name, value=float(values[name]))
@@ -331,8 +349,10 @@ def _summarise(rows: tuple[TrialRow, ...], n_grid: tuple[int, ...],
             values = np.asarray(by_key.get((name, n), ()), dtype=float)
             values = values[~np.isnan(values)]
             count = int(values.size)
-            mean = float(np.mean(values)) if count else math.nan
-            stderr = float(np.std(values, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+            # an inf row reads mean=inf and stderr=nan; huge rows may overflow to inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(np.mean(values)) if count else math.nan
+                stderr = float(np.std(values, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
             out.append(SummaryRow(metric=name, n=n, mean=mean, stderr=stderr, count=count))
     return tuple(out)
 

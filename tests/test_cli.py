@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unkloc
-from unkloc import cli, noise, sampling
+from unkloc import cli, experiments, noise, sampling
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
 from unkloc.experiments import load_rows_csv, run
 from unkloc.field import BandlimitedField
@@ -236,15 +236,27 @@ def test_sweep_writes_artifacts(sweep_config, tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 9  # 3 n values x 3 trials
 
 
-def test_sweep_threaded_run_is_identical(sweep_config, tmp_path, monkeypatch):
+def test_sweep_output_is_identical_at_any_worker_count(sweep_config, tmp_path, monkeypatch):
     monkeypatch.delenv("UNKLOC_THREADS", raising=False)
     serial = tmp_path / "serial"
     main(["sweep", "--config", str(sweep_config), "--out", str(serial)])
     monkeypatch.setenv("UNKLOC_THREADS", "3")
-    threaded = tmp_path / "threaded"
-    main(["sweep", "--config", str(sweep_config), "--out", str(threaded)])
-    assert (serial / "rows.csv").read_bytes() == (threaded / "rows.csv").read_bytes()
-    assert (serial / "slope.json").read_bytes() == (threaded / "slope.json").read_bytes()
+    pooled = tmp_path / "pooled"
+    main(["sweep", "--config", str(sweep_config), "--out", str(pooled)])
+    assert (serial / "rows.csv").read_bytes() == (pooled / "rows.csv").read_bytes()
+    assert (serial / "slope.json").read_bytes() == (pooled / "slope.json").read_bytes()
+
+
+def test_sweep_trial_fault_in_a_worker_exits_fault(sweep_config, tmp_path, monkeypatch, capsys):
+    # a forked worker inherits the patched layer; its fault reaches the CLI
+    def broken(readings, b):
+        raise RuntimeError("estimator bug")
+
+    monkeypatch.setattr(experiments, "estimate_field", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU host
+    monkeypatch.setenv("UNKLOC_THREADS", "2")
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_FAULT
+    assert "estimator bug" in capsys.readouterr().err
 
 
 def test_sweep_env_var_must_be_integer(sweep_config, tmp_path, monkeypatch, capsys):
@@ -255,8 +267,8 @@ def test_sweep_env_var_must_be_integer(sweep_config, tmp_path, monkeypatch, caps
 
 
 def test_sweep_threads_are_capped_at_the_cpu_count(sweep_config, tmp_path, monkeypatch, capsys):
-    # the pool starts a thread per queued cell while none is idle, so an
-    # uncapped value could start one per cell; the stand-in run starts none
+    # the sweep forks a process per worker, up to one per cell, so an
+    # uncapped value could fork one per cell; the stand-in run forks none
     seen = []
     monkeypatch.setattr(cli, "run", lambda config, workers: seen.append(workers) or run(config))
     for value in ("100000", "1"):
@@ -343,6 +355,7 @@ def test_field_files_that_are_not_conjugate_symmetric_exit_usage(sweep_config, t
     assert "conjugate-symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_path, capsys):
     # finite field energy 2e200, but an energy error near 1e200 squares past the largest double
     field = tmp_path / "big.json"
@@ -359,6 +372,7 @@ def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_
     assert json.loads(capsys.readouterr().out)["metrics"] == {"energy_sq_error": math.inf}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_on_a_field_near_the_energy_limit_runs(sweep_config, tmp_path):
     # the file's energy 1.62e308 is finite, but at these n estimates overflow
     # their own energy sum; they must still score (inf or huge distortion rows)
@@ -777,16 +791,30 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import and only slope fits use it,
-    # so commands like replay must not pay for it at start-up
-    code = "import sys, unkloc.cli; print('scipy.stats' in sys.modules)"
+def _fresh_interpreter(code: str) -> str:
+    """What code prints in a new interpreter that imports this unkloc."""
     src = str(Path(unkloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import and only slope fits use it,
+    # so commands like replay must not pay for it at start-up
+    assert _fresh_interpreter("import sys, unkloc.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_one_worker_sweep_leaves_the_process_pool_unloaded():
+    # the pool's modules cost every start-up about 14 ms; one worker needs none of them
+    code = ("import sys, unkloc.cli; from unkloc.experiments import ExperimentConfig, run; "
+            "run(ExperimentConfig.from_dict({'mode': 'GridDeviation', 'field': {'source': 'paper1'}, "
+            "'renewal': {'family': 'uniform'}, 'noise': {'family': 'zero'}, 'n_grid': [100, 200], "
+            "'trials': 2}), workers=1); "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_help_exits_clean(capsys):

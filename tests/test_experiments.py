@@ -1,5 +1,6 @@
 """Sweep harness: seeding, replay, summaries, slope fits, fault rows."""
 
+import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -276,9 +277,25 @@ def test_run_shape_and_determinism():
     assert {row.metric for row in a.rows} == {"distortion"}
 
 
-def test_run_threaded_matches_serial():
+def test_run_matches_serial_at_any_worker_count():
     cfg = _config()
-    assert run(cfg, workers=4).rows == run(cfg).rows
+    serial = run(cfg).rows
+    assert run(cfg, workers=2).rows == serial
+    assert run(cfg, workers=4).rows == serial
+
+
+def test_run_forks_no_more_workers_than_cells(monkeypatch):
+    sizes = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers=None, **kw):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    cfg = _config(n_grid=(200,), trials=2)
+    assert run(cfg, workers=8).rows == run(cfg).rows
+    assert sizes == [2]
 
 
 def test_single_cell_replay_matches_sweep_row():
