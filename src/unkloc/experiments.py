@@ -307,9 +307,10 @@ def _run_cells(cell, cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full sweep over config.n_grid x config.trials.
 
-    With workers > 1, each of min(workers, cells) forked processes runs one
-    interleaved slice of the cells.  Every cell's seed is derived from the
-    cell, so the rows are the same at any worker count."""
+    With workers > 1, each of min(workers, cells) workers runs one
+    interleaved slice of the cells: this process the first, a forked process
+    each of the others.  Every cell's seed is derived from the cell, so the
+    rows are the same at any worker count."""
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
     cell = functools.partial(run_cell, config, truth=config.field_source.resolve())
     workers = min(workers, len(cells))
@@ -321,9 +322,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         outcomes = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = [pool.submit(_run_cells, cell, cells[w::workers]) for w in range(workers)]
-            for w, part in enumerate(parts):
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = [pool.submit(_run_cells, cell, cells[w::workers]) for w in range(1, workers)]
+            outcomes[::workers] = _run_cells(cell, cells[::workers])
+            for w, part in enumerate(parts, 1):
                 outcomes[w::workers] = part.result()
     else:
         outcomes = _run_cells(cell, cells)

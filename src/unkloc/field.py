@@ -19,6 +19,11 @@ from .errors import whole
 # up to b = 64 with plenty of margin.
 DENSE_GRID = 8192
 
+# Points per block of ``evaluate``.  A block's complex temporaries (64 KiB
+# each) come back from the allocator's cache, where full-length ones would
+# fault in fresh pages for every harmonic.
+EVAL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class BandlimitedField:
@@ -53,16 +58,21 @@ class BandlimitedField:
 
         g(x) = a[0] + sum_{k=1..b} 2 Re(a[k] e^k) with e = exp(j 2 pi x).
         a[-k] e^-k is the exact conjugate of a[k] e^k, so this is bit for bit
-        the real part of the full sum over -b..b.
+        the real part of the full sum over -b..b.  It runs on EVAL_BLOCK-point
+        blocks of the flattened x; every step is elementwise, so a value has
+        the same bits in any block, and a scalar the same bits as in an array.
         """
         x = np.asarray(x, dtype=float)
-        e1 = np.exp(2j * np.pi * x)
-        val = np.full(x.shape, self.coeffs[self.b].real)
-        ek = np.ones_like(e1)
-        for k in range(1, self.b + 1):
-            ek = ek * e1
-            val += 2.0 * (self.coeffs[self.b + k] * ek).real
-        return val[()] if val.ndim == 0 else val
+        flat = x.ravel()
+        out = np.full(flat.size, self.coeffs[self.b].real)
+        for lo in range(0, flat.size, EVAL_BLOCK):
+            e1 = np.exp(2j * np.pi * flat[lo : lo + EVAL_BLOCK])
+            val = out[lo : lo + EVAL_BLOCK]
+            ek = np.ones_like(e1)
+            for k in range(1, self.b + 1):
+                ek = ek * e1  # a fresh product: written into ek, a 1-point block rounds differently
+                val += 2.0 * (self.coeffs[self.b + k] * ek).real
+        return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     def dynamic_range(self, grid: int = DENSE_GRID) -> float:
         """sup |g(x)| probed on a dense uniform grid."""

@@ -185,7 +185,8 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
         drawn += block
         if drawn > ITERATION_CAP:
             raise RuntimeError("trace generation exceeded the iteration cap without reaching 1")
-    locations = _strictly_increasing(np.concatenate(pieces))
+    # the first block nearly always crosses 1, and then there is nothing to join
+    locations = _strictly_increasing(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
     last = float(locations[-1]) if locations.size else 0.0
     return SampleTrace(spec=spec, locations=locations, overshoot=1.0 - last)
 

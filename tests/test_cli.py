@@ -755,6 +755,12 @@ PINNED_SWEEPS = {
     "riemann": ({"mode": "RiemannError", "field": {"source": "paper1"}, "riemann_k": 2},
                 ["--n", "50,100,200", "--trials", "3", "--seed", "8",
                  "--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3"]),
+    # n spanning three to five blocks of field.EVAL_BLOCK points, at b = 3 and 12
+    "distortion_large": ({"mode": "DistortionSweep", "field": {"source": "paper1"}},
+                         ["--n", "10000,20000", "--trials", "2", "--seed", "10",
+                          "--renewal", "triangular", "--noise", "gaussian:0.5:4"]),
+    "energy_large": ({"mode": "EnergyMSE", "field": {"source": "random", "b": 12, "seed": 3}},
+                     ["--n", "12289,20000", "--trials", "2", "--seed", "11", "--noise", "uniform:0.5"]),
 }
 PINNED_SWEEP_DIGESTS = {
     "distortion": ("6147d76ec69ec0a3", "b47233b50d8bb077", "5cda6485d126cb10"),
@@ -762,6 +768,8 @@ PINNED_SWEEP_DIGESTS = {
     "grid": ("17b83979ed2d5752", "fd91699a308b23e5", "a5fdfe006dc29e2d"),
     "energy": ("cb48da0ee1576133", "915ac0ddc7db33c5", "071c01c0cdb8565b"),
     "riemann": ("79c2a0b795011c7b", "ec1c04471a89d3e1", "a5fdfe006dc29e2d"),
+    "distortion_large": ("f09b3c6bdcdd6228", "78da3145ec891d40", "70cd43a315525f3e"),
+    "energy_large": ("96497f8fe485420d", "a1f82618d790cceb", "70cd43a315525f3e"),
 }
 
 

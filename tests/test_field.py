@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import unkloc
 from unkloc.field import (
     DENSE_GRID,
+    EVAL_BLOCK,
     BandlimitedField,
     distortion,
     random_field,
@@ -152,6 +154,59 @@ def test_evaluate_is_bit_identical_to_the_complex_sum(seed, b, m, scale):
     got = f.evaluate(x)
     assert got.dtype == np.float64
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in old_complex_sum(f, x).tolist()]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# sizes around the block edges: empty, one point, one block short, exact and
+# one over, and trailing 1-point blocks after two and three full ones
+_BLOCK_EDGE_SIZES = [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 1]
+
+
+@pytest.mark.parametrize("b", [0, 3, 12, 40])
+@pytest.mark.parametrize("size", _BLOCK_EDGE_SIZES)
+def test_blocked_evaluate_keeps_the_bits_of_the_complex_sum(b, size):
+    f = random_field(b, seed=size + b)
+    x = np.random.default_rng(size).random(size)
+    assert _hexes(f.evaluate(x)) == _hexes(old_complex_sum(f, x))
+
+
+def test_blocked_evaluate_keeps_the_bits_of_2d_and_strided_input():
+    f = random_field(12, seed=4)
+    x = np.random.default_rng(4).random((3, EVAL_BLOCK + 5))
+    grid = f.evaluate(x)
+    assert grid.shape == x.shape
+    assert _hexes(grid) == _hexes(old_complex_sum(f, x))
+    strided = x[:, ::3]
+    assert not strided.flags.contiguous
+    assert _hexes(f.evaluate(strided)) == _hexes(old_complex_sum(f, strided))
+
+
+def test_scalar_evaluates_to_the_bits_of_the_array_path():
+    # numpy's scalar arithmetic rounds complex products differently from its
+    # array loops, so a scalar or 0-d input must take the array path
+    f = random_field(5, seed=9)
+    x = np.concatenate([np.random.default_rng(9).random(300), [0.0, -0.0, 0.25, 0.5, 1.0]])
+    want = _hexes(f.evaluate(x))
+    assert _hexes([f.evaluate(float(v)) for v in x]) == want
+    assert _hexes([f.evaluate(np.array(v)) for v in x]) == want
+    assert _hexes([f.evaluate([v])[0] for v in x]) == want
+
+
+def test_evaluate_peak_memory_stays_below_twice_its_output():
+    # one full-length complex temporary alone is twice the output's bytes;
+    # blocked, the extra is a few block-sized arrays
+    f = reference_field("paper2")
+    x = np.random.default_rng(1).random(100_000)
+    tracemalloc.start()
+    try:
+        out = f.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 @settings(max_examples=50, deadline=None)
