@@ -17,7 +17,6 @@ from .experiments import (
     SlopeFit,
     fit_loglog_slope,
     run,
-    run_trial,
 )
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
@@ -59,7 +58,6 @@ __all__ = [
     "reference_field",
     "riemann_coefficient",
     "run",
-    "run_trial",
     "spawn_rngs",
     "trial_seed",
 ]

@@ -1,10 +1,10 @@
 """Bandwidth detection for fields of unknown harmonic extent.
 
-Scan B = 0, 1, 2, ...: estimate coefficients +-B, zero out any whose
-magnitude does not strictly exceed delta - n^(-1/3), and stop at the first
-B where the accumulated kept energy lands within +-delta^2/2 of the energy
-estimate computed from the readings.  Both terms follow from delta and n;
-neither is a parameter.
+Scan B = 0, 1, 2, ...: estimate coefficient B (coefficient -B is its
+conjugate), zero it out unless its magnitude strictly exceeds
+delta - n^(-1/3), and stop at the first B where the accumulated kept
+energy lands within +-delta^2/2 of the energy estimate computed from the
+readings.  Both terms follow from delta and n; neither is a parameter.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, whole
-from .estimator import _check_readings, energy_estimate, harmonic_pairs
+from .estimator import _check_readings, energy_estimate, harmonics
 
 
 @dataclass(frozen=True)
@@ -107,24 +107,23 @@ def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:
     e_g = energy_estimate(y, config.sigma2)
     band = config.band
 
-    kept_pos: list[complex] = []  # k = 0..B
-    kept_neg: list[complex] = []  # k = -0..-B; -0 repeats k = 0 and is dropped
+    kept: list[complex] = []  # k = 0..B; k = -B..-1 are their conjugates
     total = 0.0
     status, detected_b = "CapReached", None
     # zip pulls from the range first, so no harmonic past b_max is projected
-    for scan_b, (plus, minus) in zip(range(config.b_max + 1), harmonic_pairs(y)):
-        kp = threshold_coefficient(plus, config)
-        kn = threshold_coefficient(minus, config)
-        kept_pos.append(kp)
-        kept_neg.append(kn)
-        total += abs(kp) ** 2 if scan_b == 0 else abs(kp) ** 2 + abs(kn) ** 2
+    for scan_b, a in zip(range(config.b_max + 1), harmonics(y)):
+        c = threshold_coefficient(a, config)
+        kept.append(c)
+        # |A[-B]| == |A[B]|: harmonics B and -B add the same energy
+        total += abs(c) ** 2 if scan_b == 0 else 2.0 * abs(c) ** 2
         if -band <= total - e_g <= band:
             status, detected_b = "Stopped", scan_b
             break
     return DetectionOutcome(
         status=status,
         detected_b=detected_b,
-        kept_coeffs=kept_neg[:0:-1] + kept_pos,
+        # a zeroed entry stays 0j: its conjugate would be -0j
+        kept_coeffs=[c.conjugate() if c else 0j for c in kept[:0:-1]] + kept,
         energy_est=e_g,
         stop_residual=total - e_g,
     )

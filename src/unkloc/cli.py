@@ -162,13 +162,14 @@ def cmd_replay(args) -> int:
     seed, metrics = run_cell(config, args.n, args.trial)
     payload = {"n": args.n, "trial": args.trial, "seed": seed, "metrics": metrics}
     if args.rows:
-        recorded = {
-            rec["metric"]: rec
-            for rec in load_rows_csv(args.rows)
-            if rec["n"] == args.n and rec["trial"] == args.trial
-        }
-        if not recorded:
+        cell = [rec for rec in load_rows_csv(args.rows) if rec["n"] == args.n and rec["trial"] == args.trial]
+        if not cell:
             raise ConfigError(f"no rows for n={args.n}, trial={args.trial} in {args.rows}")
+        other = sorted({rec["mode"] for rec in cell} - {config.mode})
+        if other:
+            raise ConfigError(f"the rows for n={args.n}, trial={args.trial} in {args.rows} were recorded "
+                              f"by mode {', '.join(other)}, not by the config's mode {config.mode}")
+        recorded = {rec["metric"]: rec for rec in cell}
         mismatches = []
         for name, value in metrics.items():
             rec = recorded.get(name)  # values compare by bits, so a recorded NaN matches a NaN

@@ -6,7 +6,8 @@ samples sat on the uniform grid i/M.  Readings are real, as the field is.
 Every projection comes from one kernel: ``_phases`` steps the phase vector
 exp(-j 2 pi k i / M) by repeated multiplication (no FFT) and ``_project``
 takes its two real sums with numpy's pairwise reduction, so results stay
-bit-identical across BLAS threading settings (replay determinism).
+bit-identical across BLAS threading settings (replay determinism).  Only
+k >= 0 is projected: A[-k] is the conjugate of A[k].
 """
 
 from __future__ import annotations
@@ -38,17 +39,14 @@ def _phases(m: int) -> Iterator[np.ndarray]:
         yield w
 
 
-def _project(y: np.ndarray, w: np.ndarray) -> tuple[complex, complex]:
-    """(A[k], A[-k]) from the phase vector w of harmonic k.  Both come from
-    one pair of real sums, so A[-k] == conj(A[k]) holds bit for bit."""
-    re = float(np.sum(y * w.real))
-    im = float(np.sum(y * w.imag))
-    return complex(re, im) / y.size, complex(re, -im) / y.size
+def _project(y: np.ndarray, w: np.ndarray) -> complex:
+    """A[k] from the phase vector w of harmonic k, as two real sums.  The
+    readings are real, so A[-k] is its conjugate."""
+    return complex(float(np.sum(y * w.real)), float(np.sum(y * w.imag))) / y.size
 
 
-def harmonic_pairs(y: np.ndarray) -> Iterator[tuple[complex, complex]]:
-    """(A[k], A[-k]) for k = 0, 1, 2, ... from a non-empty, real 1-d vector;
-    at k = 0 both entries are the same harmonic and consumers take the first."""
+def harmonics(y: np.ndarray) -> Iterator[complex]:
+    """A[0], A[1], A[2], ... from a non-empty, real 1-d vector."""
     return (_project(y, w) for w in _phases(y.size))
 
 
@@ -57,21 +55,18 @@ def estimate_coefficient(readings, k: int) -> complex:
     only harmonic |k| is projected."""
     y = _check_readings(readings)
     k = int(k)
-    plus, minus = _project(y, next(islice(_phases(y.size), abs(k), None)))
-    return plus if k >= 0 else minus
+    a = _project(y, next(islice(_phases(y.size), abs(k), None)))
+    return a if k >= 0 else a.conjugate()
 
 
 def estimate_field(readings, b: int) -> BandlimitedField:
-    """Estimated field over harmonics -b..b.
-
-    No symmetrization step: the estimate is already conjugate-symmetric,
-    exactly.
-    """
+    """Estimated field over harmonics -b..b: A[0..b] projected, and their
+    conjugates mirrored onto -b..-1."""
     y = _check_readings(readings)
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
-    plus, minus = zip(*islice(harmonic_pairs(y), b + 1))
-    return BandlimitedField(b=b, coeffs=[*minus[:0:-1], *plus])
+    a = list(islice(harmonics(y), b + 1))
+    return BandlimitedField(b=b, coeffs=[*(c.conjugate() for c in a[:0:-1]), *a])
 
 
 def riemann_coefficient(field: BandlimitedField, m: int, k: int) -> complex:

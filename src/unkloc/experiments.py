@@ -227,11 +227,12 @@ def _distortion(config: ExperimentConfig, truth: BandlimitedField, trace: Sample
 
 def _detection(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float, ...]:
     """success, and its two halves: the stopping rule found truth.b, and
-    the kept coefficients are exactly the truth's non-zero ones."""
+    the kept coefficients are exactly the truth's non-zero ones.  Both sides
+    are conjugate-symmetric, so harmonics 0..b decide."""
     outcome = detect_bandwidth(trace.readings, BandwidthConfig(
         delta=config.delta, sigma2=config.noise.variance, n=trace.spec.n, b_max=config.b_max))
     stop_ok = outcome.status == "Stopped" and outcome.detected_b == truth.b
-    coeff_ok = all((outcome.kept(k) != 0) == (truth.coefficient(k) != 0) for k in range(-truth.b, truth.b + 1))
+    coeff_ok = all((outcome.kept(k) != 0) == (truth.coefficient(k) != 0) for k in range(truth.b + 1))
     return float(stop_ok and coeff_ok), float(stop_ok), float(coeff_ok)
 
 
@@ -272,31 +273,25 @@ MODES = tuple(_MODES)
 METRIC_SETS = {name: mode.metrics for name, mode in _MODES.items()}
 
 
-def run_trial(config: ExperimentConfig, n: int, seed: int,
-              truth: BandlimitedField | None = None) -> dict[str, float]:
-    """One seeded trial.  Every metric depends only on (config, n, seed),
-    which is what makes single-cell replay possible."""
+def run_cell(config: ExperimentConfig, n: int, trial: int,
+             truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
+    """The seed of cell (n, trial) and its trial's metrics, which depend only
+    on (config, n, trial): that is what makes single-cell replay possible.
+    A truth that cannot be resolved raises; a trial whose config is
+    unrunnable at this n reads NaN, which keeps the denominator visible and
+    replays like any other value."""
     if truth is None:
         truth = config.field_source.resolve()
     mode = _MODES[config.mode]
-    spec = config.renewal.spec_for(n)
-    rng_trace, rng_noise = spawn_rngs(seed)
-    trace = generate_trace(spec, rng_trace)
-    if mode.readings:
-        trace = acquire(trace, truth, config.noise, rng_noise)
-    return dict(zip(mode.metrics, mode.step(config, truth, trace)))
-
-
-def run_cell(config: ExperimentConfig, n: int, trial: int,
-             truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
-    """The seed of cell (n, trial) and its trial's metrics.  A trial whose
-    config is unrunnable at this n reads NaN, which keeps the denominator
-    visible and replays like any other value."""
     seed = trial_seed(config.master_seed, n, trial)
     try:
-        return seed, run_trial(config, n, seed, truth)
+        rng_trace, rng_noise = spawn_rngs(seed)
+        trace = generate_trace(config.renewal.spec_for(n), rng_trace)
+        if mode.readings:
+            trace = acquire(trace, truth, config.noise, rng_noise)
+        return seed, dict(zip(mode.metrics, mode.step(config, truth, trace)))
     except ConfigError:
-        return seed, dict.fromkeys(_MODES[config.mode].metrics, math.nan)
+        return seed, dict.fromkeys(mode.metrics, math.nan)
 
 
 def _run_cells(cell, cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
@@ -378,16 +373,20 @@ def _fit_primary_slope(config: ExperimentConfig,
 def fit_loglog_slope(points) -> SlopeFit:
     """OLS slope of log(mean) on log(n) with a 95% confidence interval.
 
-    Needs >= 3 points and strictly positive means; offending n values are
-    named in the error.
+    Needs >= 3 points at distinct, positive n with positive, finite means;
+    offending n values are named in the error.
     """
     pts = [(int(n), float(mean)) for n, mean in points]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 (n, mean) points")
-    bad = [n for n, mean in pts if not (mean > 0)]
+    ns = [n for n, _ in pts]
+    repeated = sorted({n for n in ns if ns.count(n) > 1})
+    if repeated:
+        raise ValueError(f"slope fit needs distinct n; repeated n: {repeated}")
+    bad = [n for n, mean in pts if not (n > 0 and 0 < mean < math.inf)]
     if bad:
-        raise ValueError(f"slope fit needs positive means; offending n: {bad}")
-    x = np.log([n for n, _ in pts])
+        raise ValueError(f"slope fit needs positive n and positive, finite means; offending n: {bad}")
+    x = np.log(ns)
     y = np.log([mean for _, mean in pts])
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))

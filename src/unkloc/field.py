@@ -74,9 +74,9 @@ class BandlimitedField:
                 val += 2.0 * (self.coeffs[self.b + k] * ek).real
         return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
-    def dynamic_range(self, grid: int = DENSE_GRID) -> float:
-        """sup |g(x)| probed on a dense uniform grid."""
-        x = np.arange(grid) / grid
+    def dynamic_range(self) -> float:
+        """sup |g(x)| probed on the DENSE_GRID-point uniform grid."""
+        x = np.arange(DENSE_GRID) / DENSE_GRID
         return float(np.max(np.abs(self.evaluate(x))))
 
     def energy(self) -> float:
@@ -112,24 +112,14 @@ class BandlimitedField:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def distortion(truth: BandlimitedField, estimate) -> float:
-    """Sum of squared coefficient errors over the union of harmonic ranges.
-
-    ``estimate`` is a BandlimitedField or an odd-length coefficient vector
-    over -B..B; harmonics absent from either side count as zero.
-    """
-    if isinstance(estimate, BandlimitedField):
-        other = estimate.coeffs
-    else:
-        other = np.asarray(estimate, dtype=complex)
-    if other.ndim != 1 or other.size % 2 == 0:
-        raise ValueError("estimate must be an odd-length coefficient vector over -B..B")
-    bb = other.size // 2
-    width = max(bb, truth.b)
+def distortion(truth: BandlimitedField, estimate: BandlimitedField) -> float:
+    """Sum of squared coefficient errors over the union of harmonic ranges;
+    harmonics absent from either field count as zero."""
+    width = max(estimate.b, truth.b)
     a = np.zeros(2 * width + 1, dtype=complex)
     a[width - truth.b : width + truth.b + 1] = truth.coeffs
     ahat = np.zeros(2 * width + 1, dtype=complex)
-    ahat[width - bb : width + bb + 1] = other
+    ahat[width - estimate.b : width + estimate.b + 1] = estimate.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients score inf
         return float(np.sum(np.abs(ahat - a) ** 2))
 

