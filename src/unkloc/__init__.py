@@ -3,12 +3,7 @@ taken at unknown locations generated by a renewal process."""
 
 from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
 from .errors import ConfigError
-from .estimator import (
-    energy_estimate,
-    estimate_coefficient,
-    estimate_field,
-    riemann_coefficient,
-)
+from .estimator import energy_estimate, estimate_field
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -49,14 +44,12 @@ __all__ = [
     "detect_bandwidth",
     "distortion",
     "energy_estimate",
-    "estimate_coefficient",
     "estimate_field",
     "fit_loglog_slope",
     "generate_trace",
     "grid_deviation",
     "random_field",
     "reference_field",
-    "riemann_coefficient",
     "run",
     "spawn_rngs",
     "trial_seed",

@@ -9,6 +9,7 @@ readings.  Both terms follow from delta and n; neither is a parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ class BandwidthConfig:
     b_max: int = 64
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.delta, (int, float)) and self.delta > 0):
-            raise ConfigError(f"delta must be a positive number, got {self.delta!r}")
+        # an int compares exactly with inf, so a huge one reaches the overflow check
+        if isinstance(self.delta, bool) or not (isinstance(self.delta, (int, float)) and 0 < self.delta < math.inf):
+            raise ConfigError(f"delta must be a finite positive number, got {self.delta!r}")
         if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be non-negative")
         try:  # the stop band and the bound on n in validate_runnable's message

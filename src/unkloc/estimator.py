@@ -50,15 +50,6 @@ def harmonics(y: np.ndarray) -> Iterator[complex]:
     return (_project(y, w) for w in _phases(y.size))
 
 
-def estimate_coefficient(readings, k: int) -> complex:
-    """Ordinal-grid estimate of coefficient k from the readings alone;
-    only harmonic |k| is projected."""
-    y = _check_readings(readings)
-    k = int(k)
-    a = _project(y, next(islice(_phases(y.size), abs(k), None)))
-    return a if k >= 0 else a.conjugate()
-
-
 def estimate_field(readings, b: int) -> BandlimitedField:
     """Estimated field over harmonics -b..b: A[0..b] projected, and their
     conjugates mirrored onto -b..-1."""
@@ -67,14 +58,6 @@ def estimate_field(readings, b: int) -> BandlimitedField:
         raise ValueError("bandwidth must be non-negative")
     a = list(islice(harmonics(y), b + 1))
     return BandlimitedField(b=b, coeffs=[*(c.conjugate() for c in a[:0:-1]), *a])
-
-
-def riemann_coefficient(field: BandlimitedField, m: int, k: int) -> complex:
-    """m-point ordinal-grid approximation of coefficient k from exact field
-    values g(i/m); equals a[k] whenever m >= 2b+1 (no aliasing)."""
-    if m < 1:
-        raise ValueError("grid size must be positive")
-    return estimate_coefficient(field.evaluate(np.arange(1, m + 1) / m), k)
 
 
 def energy_estimate(readings, sigma2: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bandwidth import BandwidthConfig, detect_bandwidth
 from .errors import ConfigError, refuse_unread, whole
-from .estimator import energy_estimate, estimate_field, riemann_coefficient
+from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
 from .sampling import RenewalSpec, SampleTrace, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
@@ -117,7 +117,6 @@ class ExperimentConfig:
     known_b: int | None = None  # estimation bandwidth; defaults to the truth's b
     delta: float = 0.1
     b_max: int = BandwidthConfig.b_max
-    riemann_k: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -138,7 +137,6 @@ class ExperimentConfig:
             object.__setattr__(self, "known_b", whole("known_b", self.known_b, 0))
         # BandwidthConfig owns the delta and b_max rules; a probe applies them at load
         BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
-        object.__setattr__(self, "riemann_k", whole("riemann_k", self.riemann_k))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -248,11 +246,6 @@ def _energy_error(config: ExperimentConfig, truth: BandlimitedField, trace: Samp
         return (math.inf,)
 
 
-def _riemann_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
-    k = config.riemann_k
-    return (abs(riemann_coefficient(truth, trace.m, k) - truth.coefficient(k)),)
-
-
 class _Mode(NamedTuple):
     metrics: tuple[str, ...]  # the first is the primary metric: summarised, and slope-fit
     reads: tuple[str, ...]  # the config entries it reads besides _SHARED
@@ -266,7 +259,6 @@ _MODES = {
     "BandwidthCurve": _Mode(("success", "stop_check", "coeff_check"), ("delta", "b_max"), False, True, _detection),
     "GridDeviation": _Mode(("grid_deviation",), (), False, False, _grid_gap),
     "EnergyMSE": _Mode(("energy_sq_error",), (), True, True, _energy_error),
-    "RiemannError": _Mode(("riemann_abs_error",), ("riemann_k",), False, False, _riemann_error),
 }
 
 MODES = tuple(_MODES)

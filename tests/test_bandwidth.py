@@ -1,6 +1,7 @@
 """Bandwidth detection: thresholding, stopping rule, cap, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,10 @@ def test_config_rejects_bad_values():
         BandwidthConfig(delta=0.1, sigma2=0.0, n=100, b_max=-1)
     with pytest.raises(ConfigError):
         BandwidthConfig(delta=float("nan"), sigma2=0.0, n=100)
+    with pytest.raises(ConfigError):
+        BandwidthConfig(delta=math.inf, sigma2=0.0, n=100)
+    with pytest.raises(ConfigError):
+        BandwidthConfig(delta=True, sigma2=0.0, n=100)
 
 
 def test_delta_whose_bounds_overflow_is_refused():

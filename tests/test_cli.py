@@ -218,6 +218,14 @@ def test_detect_refuses_a_delta_that_overflows(paper2_file, capsys, delta):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_detect_refuses_an_infinite_delta(paper2_file, capsys):
+    # an infinite threshold zeroes every coefficient, and JSON has no Infinity
+    code = main(["detect", "--field", str(paper2_file), "--n", "20000", "--delta", "inf",
+                 "--noise", "uniform:1.0"])
+    assert code == EXIT_USAGE
+    assert "finite positive" in capsys.readouterr().err
+
+
 # sweep -----------------------------------------------------------------------
 
 
@@ -459,7 +467,7 @@ def test_lambda_flag_is_gone(paper2_file, sweep_config, tmp_path, capsys, comman
     (["field-gen", "paper1", "--b", "3"], None, "b"),
     (["field-gen", "paper2", "--seed", "3"], None, "seed"),
     (["sweep", "--delta", "0.5"], None, "delta"),  # the config mode is DistortionSweep
-    (["sweep"], {"riemann_k": 7}, "riemann_k"),
+    (["sweep"], {"mode": "GridDeviation", "delta": 0.2}, "delta"),
     (["sweep"], {"b_max": 3}, "b_max"),
     (["sweep"], {"mode": "EnergyMSE", "known_b": 3}, "known_b"),
     (["sweep"], {"noise": {"family": "zero", "sigma": 3, "params": []}}, "sigma"),
@@ -782,9 +790,6 @@ PINNED_SWEEPS = {
              ["--n", "200,400,800", "--trials", "3", "--seed", "6", "--renewal", "triangular"]),
     "energy": ({"mode": "EnergyMSE", "field": {"source": "random", "b": 4, "seed": 2}},
                ["--n", "200,400,800", "--trials", "3", "--seed", "7", "--noise", "rademacher:0.3"]),
-    "riemann": ({"mode": "RiemannError", "field": {"source": "paper1"}, "riemann_k": 2},
-                ["--n", "50,100,200", "--trials", "3", "--seed", "8",
-                 "--renewal", "scaled_beta", "--alpha", "1.5", "--beta", "3"]),
     # n spanning three to five blocks of field.EVAL_BLOCK points, at b = 3 and 12
     "distortion_large": ({"mode": "DistortionSweep", "field": {"source": "paper1"}},
                          ["--n", "10000,20000", "--trials", "2", "--seed", "10",
@@ -797,7 +802,6 @@ PINNED_SWEEP_DIGESTS = {
     "bandwidth": ("15799e938ce0b861", "92938cf418f67134", "a5fdfe006dc29e2d"),
     "grid": ("17b83979ed2d5752", "fd91699a308b23e5", "a5fdfe006dc29e2d"),
     "energy": ("cb48da0ee1576133", "915ac0ddc7db33c5", "071c01c0cdb8565b"),
-    "riemann": ("79c2a0b795011c7b", "ec1c04471a89d3e1", "a5fdfe006dc29e2d"),
     "distortion_large": ("f09b3c6bdcdd6228", "78da3145ec891d40", "70cd43a315525f3e"),
     "energy_large": ("96497f8fe485420d", "a1f82618d790cceb", "70cd43a315525f3e"),
 }

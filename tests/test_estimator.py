@@ -16,16 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unkloc import estimator
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
-from unkloc.estimator import (
-    energy_estimate,
-    estimate_coefficient,
-    estimate_field,
-    harmonics,
-    riemann_coefficient,
-)
-from unkloc.field import BandlimitedField, random_field, reference_field
+from unkloc.estimator import energy_estimate, estimate_field, harmonics
+from unkloc.field import random_field, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
@@ -39,12 +32,23 @@ def project_oracle(readings, k):
     return total / m
 
 
+def coefficient(readings, k):
+    """Ordinal-grid estimate of coefficient k alone, from the smallest field
+    estimate that holds it."""
+    return estimate_field(readings, abs(k)).coefficient(k)
+
+
+def equispaced(field, m):
+    """The field estimated from its exact values on the m-point grid i/m."""
+    return estimate_field(field.evaluate(np.arange(1, m + 1) / m), field.b)
+
+
 # exact identities ------------------------------------------------------------
 
 
 def test_constant_readings_dc_term_is_exact():
     y = np.full(100, 0.5)
-    assert estimate_coefficient(y, 0) == 0.5 + 0j
+    assert coefficient(y, 0) == 0.5 + 0j
 
 
 def test_constant_readings_other_terms_vanish():
@@ -52,21 +56,21 @@ def test_constant_readings_other_terms_vanish():
     # dust of order m * eps, so assert tiny rather than zero
     y = np.full(100, 0.5)
     for k in (1, 2, 7, -3):
-        assert abs(estimate_coefficient(y, k)) < 1e-12
+        assert abs(coefficient(y, k)) < 1e-12
 
 
 def test_single_reading():
     y = np.array([0.3])
-    assert estimate_coefficient(y, 0) == 0.3 + 0j
+    assert coefficient(y, 0) == 0.3 + 0j
     # m = 1: the phase at i = 1 is exp(-2 pi i k), unity for every k
-    assert estimate_coefficient(y, 5) == pytest.approx(0.3 + 0j, abs=1e-12)
+    assert coefficient(y, 5) == pytest.approx(0.3 + 0j, abs=1e-12)
 
 
 def test_matches_scalar_oracle():
     rng = np.random.Generator(np.random.Philox(key=21))
     y = rng.normal(size=53)
     for k in (-4, -1, 0, 2, 9):
-        assert estimate_coefficient(y, k) == pytest.approx(project_oracle(y, k), abs=1e-10)
+        assert coefficient(y, k) == pytest.approx(project_oracle(y, k), abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,8 +80,8 @@ def test_conjugate_symmetry_is_bit_exact(seed, m, k):
     # approximately; replay and serialization both lean on this
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = rng.uniform(-1.0, 1.0, size=m)
-    plus = estimate_coefficient(y, k)
-    minus = estimate_coefficient(y, -k)
+    plus = coefficient(y, k)
+    minus = coefficient(y, -k)
     assert minus == plus.conjugate()
 
 
@@ -88,7 +92,7 @@ def test_estimate_field_layout_and_symmetry():
     assert est.b == 3
     assert np.array_equal(est.coeffs[::-1], np.conj(est.coeffs))
     for k in range(-3, 4):
-        assert est.coefficient(k) == estimate_coefficient(y, k)
+        assert est.coefficient(k) == coefficient(y, k)
 
 
 def _bits(c):
@@ -102,27 +106,18 @@ def test_coefficient_is_the_scan_entry_bit_for_bit(seed, m, k):
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = np.round(rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 3)))  # exact zeros too
     a = next(islice(harmonics(y), abs(k), None))
-    assert _bits(estimate_coefficient(y, k)) == _bits(a if k >= 0 else a.conjugate())
-
-
-def test_coefficient_projects_only_its_harmonic(monkeypatch):
-    projected = []
-    project = estimator._project
-    monkeypatch.setattr(estimator, "_project", lambda y, w: projected.append(w) or project(y, w))
-    y = np.linspace(-1.0, 1.0, 50)
-    estimate_coefficient(y, -7)
-    assert len(projected) == 1
+    assert _bits(coefficient(y, k)) == _bits(a if k >= 0 else a.conjugate())
 
 
 def test_estimate_rejects_empty_or_matrix():
     with pytest.raises(ValueError):
-        estimate_coefficient(np.array([]), 0)
+        coefficient(np.array([]), 0)
     with pytest.raises(ValueError):
-        estimate_coefficient(np.ones((3, 3)), 0)
+        coefficient(np.ones((3, 3)), 0)
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda y: estimate_coefficient(y, 1),
+    lambda y: coefficient(y, 1),
     lambda y: estimate_field(y, 2),
     lambda y: energy_estimate(y, 0.0),
     lambda y: detect_bandwidth(y, BandwidthConfig(delta=0.5, sigma2=0.0, n=100)),
@@ -166,15 +161,16 @@ def test_equispaced_projection_recovers_in_band_exactly():
     for b in range(0, 17):
         field = random_field(b, seed=1000 + b)
         for m in range(2 * b + 1, max(4 * b, 2 * b + 1) + 1):
+            est = equispaced(field, m)
             for k in range(-b, b + 1):
-                err = abs(riemann_coefficient(field, m, k) - field.coefficient(k))
+                err = abs(est.coefficient(k) - field.coefficient(k))
                 assert err < 1e-10, (b, m, k)
 
 
 def test_short_grid_aliases():
     # m < 2b+1 folds k and k - m onto each other; paper2 has mass at 12 and 1
     field = reference_field("paper2")
-    val = riemann_coefficient(field, 11, 1)
+    val = equispaced(field, 11).coefficient(1)
     expected = field.coefficient(1) + field.coefficient(12)  # 12 = 1 + 11
     assert val == pytest.approx(expected, abs=1e-10)
 
@@ -187,7 +183,7 @@ def test_riemann_error_scales_inversely_with_m():
     c2 = _fd_constant(field, k)
     # m below 2b+1 = 7 exercises the aliased regime where the error is real
     for m in (3, 4, 5, 6, 10, 37, 200, 1000):
-        err = abs(riemann_coefficient(field, m, k) - field.coefficient(k))
+        err = abs(equispaced(field, m).coefficient(k) - field.coefficient(k))
         assert m * err <= 1.05 * c2 + 1e-9
 
 
@@ -214,7 +210,7 @@ def test_estimator_sees_only_readings():
     # location-oblivious by construction: two different traces carrying the
     # same reading vector give bitwise identical estimates
     y = np.linspace(-0.5, 0.5, 40)
-    assert estimate_coefficient(y, 3) == estimate_coefficient(y.copy(), 3)
+    assert coefficient(y, 3) == coefficient(y.copy(), 3)
 
 
 # energy estimate -------------------------------------------------------------

@@ -120,18 +120,18 @@ def test_config_round_trip_random_source():
 
 def test_each_mode_refuses_the_entries_it_does_not_read():
     reads = {"DistortionSweep": {"known_b"}, "BandwidthCurve": {"delta", "b_max"},
-             "GridDeviation": set(), "EnergyMSE": set(), "RiemannError": {"riemann_k"}}
+             "GridDeviation": set(), "EnergyMSE": set()}
     assert set(reads) == set(MODES)
     for mode in MODES:
-        for key, value in (("known_b", 3), ("delta", 0.2), ("b_max", 16), ("riemann_k", 1)):
+        for key, value in (("known_b", 3), ("delta", 0.2), ("b_max", 16)):
             record = _record(mode=mode, field={"source": "paper2"}, n_grid=[2000, 4000], **{key: value})
             if key in reads[mode]:
                 assert getattr(ExperimentConfig.from_dict(record), key) == value
             else:
                 with pytest.raises(ConfigError, match=rf"^{mode} mode does not read \['{key}'\]$"):
                     ExperimentConfig.from_dict(record)
-    with pytest.raises(ConfigError, match=r"DistortionSweep mode does not read \['b_max', 'riemann_k'\]"):
-        ExperimentConfig.from_dict(_record(riemann_k=7, b_max=3))
+    with pytest.raises(ConfigError, match=r"DistortionSweep mode does not read \['b_max', 'delta'\]"):
+        ExperimentConfig.from_dict(_record(delta=0.2, b_max=3))
 
 
 def test_shipped_configs_load():
@@ -142,10 +142,9 @@ def test_shipped_configs_load():
 
 
 def test_config_rejects_unknown_keys():
-    data = _record()
-    data["typo_key"] = 1
-    with pytest.raises(ConfigError, match="typo_key"):
-        ExperimentConfig.from_dict(data)
+    for key in ("typo_key", "riemann_k"):
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+            ExperimentConfig.from_dict(_record(**{key: 1}))
 
 
 def test_config_rejects_unsorted_grid():
@@ -166,8 +165,11 @@ def test_config_rejects_grid_below_lambda():
 
 
 def test_config_rejects_unknown_mode():
-    with pytest.raises(ConfigError, match="mode"):
-        _config(mode="Sweep")
+    for mode in ("Sweep", "RiemannError"):
+        with pytest.raises(ConfigError, match="unknown mode"):
+            _config(mode=mode)
+        with pytest.raises(ConfigError, match="unknown mode"):
+            ExperimentConfig.from_dict(_record(mode=mode))
 
 
 def test_config_load_reports_json_position(tmp_path):
@@ -253,8 +255,7 @@ _SHARED = {
     "master_seed": 7,
 }
 _VALID = {**_SHARED, "mode": "BandwidthCurve", "delta": 0.2, "b_max": 16}
-_VALID_RECORDS = [_VALID, {**_SHARED, "mode": "DistortionSweep", "known_b": 3},
-                  {**_SHARED, "mode": "RiemannError", "riemann_k": 1}]
+_VALID_RECORDS = [_VALID, {**_SHARED, "mode": "DistortionSweep", "known_b": 3}]
 _KEY_PATHS = [(i, (key,)) for i, record in enumerate(_VALID_RECORDS) for key in record] + [
     (0, (record, key)) for record in ("field", "renewal", "noise") for key in _VALID[record]
 ]
@@ -324,7 +325,6 @@ _SMALL_SWEEPS = {
     "BandwidthCurve": {"field": {"source": "paper2"}, "n_grid": [100, 2000], "b_max": 16},
     "GridDeviation": {"renewal": {"family": "triangular"}},
     "EnergyMSE": {"noise": {"family": "rademacher", "params": [0.3]}},
-    "RiemannError": {"riemann_k": 2, "renewal": {"family": "scaled_beta", "alpha": 1.5}},
 }
 
 
@@ -417,17 +417,6 @@ def test_grid_deviation_mode_skips_acquisition():
     for row in result.rows:
         assert row.metric == "grid_deviation"
         assert 0.0 <= row.value < 1.0
-
-
-def test_riemann_error_mode_tracks_known_field():
-    cfg = _config(mode="RiemannError", riemann_k=2, trials=2,
-                  n_grid=(50, 100, 200))
-    result = run(cfg)
-    for row in result.rows:
-        # paper1 has b = 3, every trace here is much longer than 2b+1, so
-        # the equispaced projection would be exact; renewal jitter is what
-        # the metric measures and it stays small but positive
-        assert 0.0 <= row.value < 0.1
 
 
 def test_known_b_override_widens_the_estimate():
