@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, whole
+from .errors import ConfigError, density, whole
 from .estimator import _check_readings, energy_estimate, harmonics
 
 
@@ -35,7 +35,7 @@ class BandwidthConfig:
             0.5 * self.delta**2 + (1.0 / self.delta) ** 3
         except OverflowError:
             raise ConfigError(f"delta = {self.delta!r} overflows delta**2 or (1/delta)**3")
-        object.__setattr__(self, "n", whole("n", self.n, 1))
+        object.__setattr__(self, "n", density(self.n))
         object.__setattr__(self, "b_max", whole("b_max", self.b_max, 0))
 
     @property

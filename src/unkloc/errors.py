@@ -1,5 +1,7 @@
 """Shared exception type and the checks every config record uses."""
 
+import sys
+
 
 class ConfigError(ValueError):
     """Invalid configuration: bad family parameters, malformed config files,
@@ -16,6 +18,16 @@ def whole(name: str, value, low: int | None = None) -> int:
         pass
     bound = "" if low is None else f" >= {low}"
     raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def density(value, name: str = "n") -> int:
+    """A sample density n as an int: a whole number >= 1 that a float can
+    hold, as every formula in n (lam/n, n**(-1/3)) runs in floats."""
+    n = whole(name, value, 1)
+    if n > sys.float_info.max:  # an int compares exactly with a float
+        raise ConfigError(f"{name} must be at most {sys.float_info.max:g}, the largest float; "
+                          f"got an integer of {n.bit_length()} bits")
+    return n
 
 
 def refuse_unread(record: dict, what: str, reads: tuple[str, ...]) -> None:

@@ -3,11 +3,13 @@
 The estimator sees only the readings and their ordinal position: coefficient
 k is the average of y_i exp(-j 2 pi k i / M) over i = 1..M, as if the
 samples sat on the uniform grid i/M.  Readings are real, as the field is.
-Every projection comes from one kernel: ``_phases`` steps the phase vector
-exp(-j 2 pi k i / M) by repeated multiplication (no FFT) and ``_project``
-takes its two real sums with numpy's pairwise reduction, so results stay
-bit-identical across BLAS threading settings (replay determinism).  Only
-k >= 0 is projected: A[-k] is the conjugate of A[k].
+Every projection comes from one kernel, ``_leaf_sums``.  np.sum adds an
+M-point vector along a tree of halvings; on one leaf of that tree the kernel
+steps the phase vector exp(-j 2 pi k i / M) by repeated multiplication (no
+FFT) and takes its two real sums.  Adding the leaf sums up the same tree
+gives the bits of np.sum over all M points, so results stay bit-identical
+across BLAS threading settings (replay determinism), and every temporary is
+leaf-sized.  Only k >= 0 is projected: A[-k] is the conjugate of A[k].
 """
 
 from __future__ import annotations
@@ -19,44 +21,87 @@ import numpy as np
 
 from .field import BandlimitedField
 
+# Most points on one leaf.  np.sum halves a piece until it holds at most 128
+# points, so any LEAF of 128 or more cuts the same tree.  A leaf's complex
+# temporaries (128 KiB at 8192 points) come back from the allocator's cache,
+# where full-length ones would fault in fresh pages for every harmonic.
+LEAF = 8192
+
 
 def _check_readings(readings) -> np.ndarray:
     y = np.asarray(readings)
-    if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
+    if y.ndim != 1 or y.size == 0 or y.dtype.kind not in "biuf":
         raise ValueError("readings must be a non-empty, real 1-d vector")
     return y
 
 
-def _phases(m: int) -> Iterator[np.ndarray]:
-    """exp(-j 2 pi k i / m) over i = 1..m for k = 0, 1, 2, ..., each the last
-    times the base vector.  The base is built only once k = 1 is requested,
-    so a k = 0 consumer never pays for the m complex exponentials."""
-    w = np.ones(m, dtype=complex)
-    yield w
-    base = np.exp((-2j * np.pi / m) * np.arange(1, m + 1))
+def _half(n: int) -> int:
+    """Where np.sum's pairwise reduction cuts an n-point piece: at the
+    middle, rounded down to a multiple of its 8-way unrolled blocks."""
+    return n // 2 - (n // 2) % 8
+
+
+def _leaves(lo: int, n: int) -> Iterator[tuple[int, int]]:
+    """(start, length) of each leaf of the piece [lo, lo + n), in order."""
+    if n <= LEAF:
+        yield lo, n
+    else:
+        half = _half(n)
+        yield from _leaves(lo, half)
+        yield from _leaves(lo + half, n - half)
+
+
+def _fold(parts: Iterator, n: int):
+    """One part per leaf of an n-point vector, taken in order, added up its
+    tree; when each part is np.sum over its leaf, this is np.sum over all."""
+    if n <= LEAF:
+        return next(parts)
+    half = _half(n)
+    return _fold(parts, half) + _fold(parts, n - half)
+
+
+def _leaf_sums(y: np.ndarray, lo: int, n: int) -> Iterator[np.ndarray]:
+    """[sum y_i Re w_i, sum y_i Im w_i] over the leaf i = lo+1..lo+n, for
+    k = 0, 1, 2, ..., where w_i = exp(-j 2 pi k i / M).  w is 1 at k = 0 and
+    the base vector at k = 1, and each later w is the last times the base.
+    The base is built only once k = 1 is requested, so a k = 0 consumer
+    never pays for the exponentials."""
+    leaf = y[lo : lo + n]
+    # as if multiplied by a float64 phase: an int vector would sum exactly
+    leaf = leaf.astype(np.promote_types(leaf.dtype, np.float64), copy=False)
+    add = np.add.reduce  # np.sum's own reduction, without its Python wrapper
+    yield np.array([add(leaf), add(leaf * 0.0)])
+    base = w = np.exp((-2j * np.pi / y.size) * np.arange(lo + 1, lo + n + 1))
     while True:
+        yield np.array([add(leaf * w.real), add(leaf * w.imag)])
         w = w * base
-        yield w
 
 
-def _project(y: np.ndarray, w: np.ndarray) -> complex:
-    """A[k] from the phase vector w of harmonic k, as two real sums.  The
-    readings are real, so A[-k] is its conjugate."""
-    return complex(float(np.sum(y * w.real)), float(np.sum(y * w.imag))) / y.size
+def _average(sums: np.ndarray, m: int) -> complex:
+    """A[k] from its two sums over all m readings."""
+    return complex(float(sums[0]), float(sums[1])) / m
 
 
 def harmonics(y: np.ndarray) -> Iterator[complex]:
-    """A[0], A[1], A[2], ... from a non-empty, real 1-d vector."""
-    return (_project(y, w) for w in _phases(y.size))
+    """A[0], A[1], A[2], ... from a non-empty, real 1-d vector.  Each A[k]
+    steps every leaf one harmonic on, so no harmonic is projected before it
+    is asked for."""
+    m = y.size
+    steps = [_leaf_sums(y, lo, n) for lo, n in _leaves(0, m)]
+    while True:
+        yield _average(_fold(map(next, steps), m), m)
 
 
 def estimate_field(readings, b: int) -> BandlimitedField:
     """Estimated field over harmonics -b..b: A[0..b] projected, and their
-    conjugates mirrored onto -b..-1."""
+    conjugates mirrored onto -b..-1.  Each leaf gives all b+1 of its sum
+    pairs before the next leaf starts."""
     y = _check_readings(readings)
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
-    a = list(islice(harmonics(y), b + 1))
+    m = y.size
+    per_leaf = (np.array(list(islice(_leaf_sums(y, lo, n), b + 1))) for lo, n in _leaves(0, m))
+    a = [_average(sums, m) for sums in _fold(per_leaf, m)]
     return BandlimitedField(b=b, coeffs=[*(c.conjugate() for c in a[:0:-1]), *a])
 
 

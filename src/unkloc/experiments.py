@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bandwidth import BandwidthConfig, detect_bandwidth
-from .errors import ConfigError, refuse_unread, whole
+from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
@@ -123,7 +123,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if not isinstance(self.n_grid, (list, tuple)):
             raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
-        grid = tuple(whole("n_grid entry", n, 1) for n in self.n_grid)
+        grid = tuple(density(n, "n_grid entry") for n in self.n_grid)
         if not grid or any(b >= a for b, a in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be a non-empty, strictly increasing list")
         lam = self.renewal.spec_for(grid[0]).lam

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, whole
+from .errors import ConfigError, density
 from .field import BandlimitedField
 from .noise import NoiseSpec, redraw
 
@@ -53,7 +53,7 @@ class RenewalSpec:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", whole("n", self.n, 1))
+        object.__setattr__(self, "n", density(self.n))
         if self.family not in _LAWS:
             raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
         if not self.lam < math.inf:  # the scaled_beta rule refuses a bad shape first
@@ -80,14 +80,22 @@ def _beta_lam(alpha: float, beta: float) -> float:
     return (alpha + beta) / alpha
 
 
+def _uniform(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(1 - U) * lam/n, formed in the array of the U[0, 1) draws.  1 - U
+    lands in (0, 1], keeping the support strictly positive."""
+    x = rng.random(size)
+    np.subtract(1.0, x, out=x)
+    x *= spec.max_spacing
+    return x
+
+
 class _Law(NamedTuple):
     lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta)
     draw: Callable[[RenewalSpec, np.random.Generator, int], np.ndarray]  # size spacings X
 
 
 _LAWS = {
-    # 1 - U[0,1) lands in (0, 1], keeping the support strictly positive
-    "uniform": _Law(lambda a, b: 2.0, lambda spec, rng, size: (1.0 - rng.random(size)) * spec.max_spacing),
+    "uniform": _Law(lambda a, b: 2.0, _uniform),
     # n X symmetric triangular on (0, 2], mean 1
     "triangular": _Law(lambda a, b: 2.0, lambda spec, rng, size: redraw(
         lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), size, lambda v: v <= 0.0, spec) / spec.n),
@@ -124,7 +132,7 @@ class SampleTrace:
         if locs.size:
             if locs[0] <= 0.0 or locs[-1] > 1.0:
                 raise ValueError("locations must lie in (0, 1]")
-            if locs.size > 1 and not np.all(np.diff(locs) > 0.0):
+            if not np.all(locs[1:] > locs[:-1]):
                 raise ValueError("locations must be strictly increasing")
         # tiny slack: the crossing test rounds, so overshoot may poke one
         # ulp past the spacing bound
@@ -147,7 +155,7 @@ class SampleTrace:
 def _strictly_increasing(locations: np.ndarray) -> np.ndarray:
     """Nudge exact float ties (possible when a spacing underflows the gap
     to its running sum) up by one ulp; the fast path is a no-op."""
-    if locations.size < 2 or bool(np.all(np.diff(locations) > 0.0)):
+    if bool(np.all(locations[1:] > locations[:-1])):
         return locations
     out = locations.copy()
     for i in range(1, out.size):
@@ -171,7 +179,9 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
     block = max(64, int(spec.n + 6.0 * math.sqrt(spec.n) + 16))
     while True:
         x = _draw_block(spec, rng, block)
-        partial = total + np.cumsum(x)
+        partial = np.cumsum(x, out=x)
+        if drawn:  # a later block goes on from the running total
+            partial += total
         crossed = np.nonzero(partial > 1.0)[0]
         if crossed.size:
             cut = int(crossed[0])
@@ -202,5 +212,6 @@ def grid_deviation(trace: SampleTrace) -> float:
 def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,
             rng: np.random.Generator) -> SampleTrace:
     """Attach readings y_i = g(S_i) + W_i using the given noise stream."""
-    values = field.evaluate(trace.locations)
-    return replace(trace, readings=values + noise.draw(rng, size=trace.m))
+    readings = field.evaluate(trace.locations)
+    readings += noise.draw(rng, size=trace.m)
+    return replace(trace, readings=readings)

@@ -41,14 +41,45 @@ def _decay_config(mode, **kw):
     return ExperimentConfig(**base)
 
 
+# the paper1 coefficients a[0..3]; a[-k] is conj(a[k])
+PAPER1 = {0: 0.2445 + 0j, 1: -0.0357 + 0.0478j, 2: 0.0978 + 0.0729j, 3: -0.1796 - 0.0756j}
+
+
+def _distortion_constant(table, sigma2, v):
+    """First-order limit of n * E[distortion] when the field of table is
+    estimated over its own -b..b.  The noise adds (2b+1) sigma^2.  S_i - i/M
+    is to first order a Brownian bridge of variance t(1-t) v/n, v = Var(nX),
+    and its sine series adds v * sum_k sum_{m>=1} 2/(pi^2 m^2) *
+    |integral_0^1 g'(t) e^{-2 pi j k t} sin(pi m t) dt|^2.  The integrals are
+    taken by 2048-point Gauss-Legendre quadrature and the series is cut at
+    m = 400, where its tail is below 1e-9."""
+    b = max(table)
+    ks = np.arange(-b, b + 1)
+    coeffs = np.array([table[k] if k >= 0 else np.conj(table[-k]) for k in ks])
+    t, weights = np.polynomial.legendre.leggauss(2048)
+    t, weights = (t + 1.0) / 2.0, weights / 2.0
+    slope = (2j * np.pi * ks * coeffs) @ np.exp(2j * np.pi * np.outer(ks, t))  # g'(t)
+    m = np.arange(1, 401)
+    sines = np.sin(np.pi * np.outer(m, t))
+    location = sum(np.sum(2.0 / (np.pi * m) ** 2 * np.abs(sines @ (weights * slope * np.exp(-2j * np.pi * k * t))) ** 2)
+                   for k in ks)
+    return (2 * b + 1) * sigma2 + v * location
+
+
 def test_distortion_decays_like_one_over_n():
     result = run(_decay_config("DistortionSweep"), WORKERS)
     slope = result.slope.slope
-    ok = RATE_WINDOW[0] < slope < RATE_WINDOW[1]
+    # uniform noise on [-1, 1] and uniform spacings: sigma^2 = v = 1/3
+    predicted = _distortion_constant(PAPER1, sigma2=1 / 3, v=1 / 3)
+    largest = [row for row in result.summary if row.metric == "distortion"][-1]
+    scaled = largest.n * largest.mean
+    constant_ok = abs(scaled - predicted) <= 4 * largest.n * largest.stderr
+    ok = RATE_WINDOW[0] < slope < RATE_WINDOW[1] and constant_ok
     _report(
         "distortion rate, uniform renewal",
         ok,
-        f"slope={slope:.4f} ci=[{result.slope.ci_low:.4f}, {result.slope.ci_high:.4f}]",
+        f"slope={slope:.4f} ci=[{result.slope.ci_low:.4f}, {result.slope.ci_high:.4f}]; "
+        f"n*mean={scaled:.4f} +- {largest.n * largest.stderr:.4f} at n={largest.n}, predicted {predicted:.4f}",
     )
 
 

@@ -84,6 +84,8 @@ def test_config_rejects_bad_values():
         BandwidthConfig(delta=math.inf, sigma2=0.0, n=100)
     with pytest.raises(ConfigError):
         BandwidthConfig(delta=True, sigma2=0.0, n=100)
+    with pytest.raises(ConfigError, match="largest float"):  # n**(-1/3) runs in floats
+        BandwidthConfig(delta=0.1, sigma2=0.0, n=10**400)
 
 
 def test_delta_whose_bounds_overflow_is_refused():

@@ -493,6 +493,21 @@ def test_simulation_refuses_n_below_lambda(paper2_file, capsys, command, flags):
     assert "n >= lam" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "detect", "sweep"])
+def test_an_n_that_no_float_holds_exits_usage(paper2_file, sweep_config, tmp_path, capsys, command):
+    # every formula in n runs in floats; a sweep checks every grid entry,
+    # the largest too, before any trial runs
+    huge = 10**400
+    if command == "sweep":
+        sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "n_grid": [200, 400, huge]}))
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]
+    else:
+        argv = [command, "--field", str(paper2_file), "--n", str(huge)]
+    assert main(argv) == EXIT_USAGE
+    assert "largest float" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_shape_flags_patch_the_config_renewal(sweep_config, tmp_path, capsys):
     data = json.loads(sweep_config.read_text())
     data["renewal"] = {"family": "scaled_beta", "alpha": 2.0}

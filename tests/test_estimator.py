@@ -9,6 +9,7 @@ coefficient, with an ordinary least-squares fit done inline.
 
 import cmath
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
-from unkloc.estimator import energy_estimate, estimate_field, harmonics
+from unkloc import estimator
+from unkloc.estimator import LEAF, energy_estimate, estimate_field, harmonics
 from unkloc.field import random_field, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
@@ -107,6 +109,90 @@ def test_coefficient_is_the_scan_entry_bit_for_bit(seed, m, k):
     y = np.round(rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 3)))  # exact zeros too
     a = next(islice(harmonics(y), abs(k), None))
     assert _bits(coefficient(y, k)) == _bits(a if k >= 0 else a.conjugate())
+
+
+# leaf kernel -----------------------------------------------------------------
+
+
+def full_length_harmonics(y):
+    """A[0], A[1], ... with one M-point phase vector per harmonic (ones,
+    then each the last times the base) and np.sum over all M products: the
+    kernel the leaf kernel must match bit for bit."""
+    m = y.size
+    w = np.ones(m, dtype=complex)
+    base = np.exp((-2j * np.pi / m) * np.arange(1, m + 1))
+    while True:
+        yield complex(float(np.sum(y * w.real)), float(np.sum(y * w.imag))) / m
+        w = w * base
+
+
+def _with_infinities(rng, m):
+    y = rng.normal(size=m)
+    y[:: max(1, m // 3)] = np.inf
+    y[m // 2] = -np.inf
+    return y
+
+
+# each draws m readings of one kind from rng
+_READINGS = {
+    "random": lambda rng, m: rng.normal(size=m),
+    "negative": lambda rng, m: -rng.uniform(0.1, 2.0, size=m),
+    "negative_zero": lambda rng, m: np.full(m, -0.0),
+    "int64": lambda rng, m: rng.integers(-(2**40), 2**40, size=m),
+    "float32": lambda rng, m: rng.normal(size=m).astype(np.float32),
+    "infinities": _with_infinities,
+}
+_LEAF_EDGE_SIZES = [1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8, 65537, 99991, 100000]
+
+
+@pytest.mark.parametrize("kind", sorted(_READINGS))
+@pytest.mark.parametrize("m", _LEAF_EDGE_SIZES)
+def test_leaf_kernel_matches_the_full_length_kernel_bit_for_bit(m, kind):
+    y = _READINGS[kind](np.random.default_rng(m), m)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        expected = [_bits(c) for c in islice(full_length_harmonics(y), 13)]
+        assert [_bits(c) for c in islice(harmonics(y), 13)] == expected
+        for b in (0, 3, 12):
+            if kind == "infinities":  # A[0] is not finite, and no field holds it
+                with pytest.raises(ValueError, match="finite"):
+                    estimate_field(y, b)
+                continue
+            est = estimate_field(y, b)
+            assert [_bits(complex(c)) for c in est.coeffs[b:]] == expected[: b + 1]
+
+
+def test_leaf_cuts_need_the_multiple_of_8_rule(monkeypatch):
+    # np.sum cuts a piece at n//2 rounded down to a multiple of 8; cut at
+    # n//2 alone, the leaves add up another tree and the last bits move
+    y = np.random.default_rng(3).normal(size=2 * LEAF + 8)
+    expected = [_bits(c) for c in islice(full_length_harmonics(y), 4)]
+    assert [_bits(c) for c in islice(harmonics(y), 4)] == expected
+    monkeypatch.setattr(estimator, "_half", lambda n: n // 2)
+    assert [_bits(c) for c in islice(harmonics(y), 4)] != expected
+
+
+@pytest.mark.parametrize("m", _LEAF_EDGE_SIZES + [3 * LEAF + 5, 1_000_003])
+def test_leaf_sums_fold_to_np_sum(m):
+    # the leaves tile [0, m) in order, and adding np.sum of each up the
+    # tree is np.sum over all m: a numpy whose sum cuts differently fails here
+    y = np.random.default_rng(m).normal(size=m)
+    leaves = list(estimator._leaves(0, m))
+    assert [lo for lo, _ in leaves] == [0, *np.cumsum([n for _, n in leaves])[:-1]]
+    assert sum(n for _, n in leaves) == m and all(0 < n <= LEAF for _, n in leaves)
+    folded = estimator._fold((np.sum(y[lo : lo + n]) for lo, n in leaves), m)
+    assert float(folded).hex() == float(np.sum(y)).hex()
+
+
+def test_estimate_field_temporaries_are_leaf_sized():
+    # a full-length kernel holds about 4.6 MiB of M-point temporaries here
+    y = np.random.default_rng(4).normal(size=100_000)
+    tracemalloc.start()
+    try:
+        estimate_field(y, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
 
 
 def test_estimate_rejects_empty_or_matrix():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from unkloc.experiments import (
     write_summary_csv,
 )
 from unkloc.noise import NoiseSpec
+from unkloc.sampling import generate_trace, spawn_rngs, trial_seed
 
 
 def _config(**kw):
@@ -409,6 +411,23 @@ def test_other_trial_faults_propagate_out_of_run(monkeypatch, workers):
     monkeypatch.setattr(experiments, "estimate_field", broken)
     with pytest.raises(RuntimeError, match="estimator bug"):
         run(_config(), workers=workers)
+
+
+def test_distortion_trial_allocates_about_three_readings_arrays():
+    # the spacing draws (which become the locations), the field values
+    # (which become the readings) and the noise draw are the only arrays
+    # as long as the readings; a trial that also copies them takes about 8x
+    cfg = _config(n_grid=(100_000,), trials=1)
+    truth = cfg.field_source.resolve()
+    rng_trace, _ = spawn_rngs(trial_seed(cfg.master_seed, 100_000, 0))
+    readings_bytes = 8 * generate_trace(cfg.renewal.spec_for(100_000), rng_trace).m
+    tracemalloc.start()
+    try:
+        run_cell(cfg, 100_000, 0, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * readings_bytes
 
 
 def test_grid_deviation_mode_skips_acquisition():

@@ -60,6 +60,8 @@ def test_bad_family_and_n():
         RenewalSpec(n=10, family="poisson")
     with pytest.raises(ConfigError):
         RenewalSpec(n=0, family="uniform")
+    with pytest.raises(ConfigError, match="largest float"):  # lam/n runs in floats
+        RenewalSpec(n=10**400, family="uniform")
 
 
 def test_max_spacing():
