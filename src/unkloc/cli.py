@@ -253,6 +253,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # an n that a float holds can still need more memory than there is
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal fault: {exc}", file=sys.stderr)
         return EXIT_FAULT

@@ -33,6 +33,11 @@ from .sampling import RenewalSpec, SampleTrace, acquire, generate_trace, grid_de
 SLOPE_FLOOR = 1e-25
 
 
+# RenewalFamily.spec_for: one spec per (n, shape), reused by every trial at
+# that n.  typed, so that a shape given as an int and one given as a float
+# keep their own specs, as they would in separate processes.
+_spec = functools.lru_cache(maxsize=128, typed=True)(RenewalSpec)
+
 # the record keys each field source reads besides "source"
 _SOURCE_KEYS = {"paper1": (), "paper2": (), "random": ("b", "seed"), "file": ("path",)}
 
@@ -86,7 +91,7 @@ class RenewalFamily:
         self.spec_for(2)
 
     def spec_for(self, n: int) -> RenewalSpec:
-        return RenewalSpec(n, self.kind, self.alpha, self.beta)
+        return _spec(n, self.kind, self.alpha, self.beta)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalFamily":
@@ -277,10 +282,10 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
     mode = _MODES[config.mode]
     seed = trial_seed(config.master_seed, n, trial)
     try:
-        rng_trace, rng_noise = spawn_rngs(seed)
-        trace = generate_trace(config.renewal.spec_for(n), rng_trace)
+        rngs = spawn_rngs(seed, 1 + mode.readings)  # the noise stream only for readings
+        trace = generate_trace(config.renewal.spec_for(n), rngs[0])
         if mode.readings:
-            trace = acquire(trace, truth, config.noise, rng_noise)
+            trace = acquire(trace, truth, config.noise, rngs[1])
         return seed, dict(zip(mode.metrics, mode.step(config, truth, trace)))
     except ConfigError:
         return seed, dict.fromkeys(mode.metrics, math.nan)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,16 +28,29 @@ ITERATION_CAP = 10**9
 
 
 def trial_seed(experiment_seed: int, n: int, trial: int) -> int:
-    """Stable 64-bit seed for one (n, trial) cell of an experiment."""
-    ss = np.random.SeedSequence(entropy=(experiment_seed & _MASK64, int(n), int(trial)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable 64-bit seed for one (n, trial) cell of an experiment: the
+    SeedSequence hash of the entropy (experiment_seed mod 2**64, n, trial),
+    handed over as the little-endian 32-bit words SeedSequence would split
+    each int into (0 is one word)."""
+    n, trial = int(n), int(trial)
+    if n < 0 or trial < 0:  # as SeedSequence does; the split below holds for ints >= 0 only
+        raise ValueError(f"a cell needs n >= 0 and trial >= 0, got n={n}, trial={trial}")
+    words = []
+    for value in (experiment_seed & _MASK64, n, trial):
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(1, np.uint64).item()
 
 
-def spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The two independent Philox streams of one trial seed: the first
-    drives the spacing draws, the second the noise draws."""
-    children = np.random.SeedSequence(seed & _MASK64).spawn(2)
-    return tuple(np.random.Generator(np.random.Philox(c)) for c in children)
+def spawn_rngs(seed: int, count: int = 2) -> tuple[np.random.Generator, ...]:
+    """The first count independent Philox streams of one trial seed: the
+    first drives the spacing draws, the second the noise draws.  Stream i is
+    child i of SeedSequence(seed mod 2**64).spawn(...), built without the parent."""
+    entropy = seed & _MASK64
+    return tuple(np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy, spawn_key=(i,))))
+                 for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,7 @@ class RenewalSpec:
         if not self.lam < math.inf:  # the scaled_beta rule refuses a bad shape first
             raise ConfigError(f"{self.family} renewal law with alpha={self.alpha}, beta={self.beta} has no finite lam")
 
-    @property
+    @cached_property
     def lam(self) -> float:
         return _LAWS[self.family].lam(self.alpha, self.beta)
 
@@ -132,7 +146,7 @@ class SampleTrace:
         if locs.size:
             if locs[0] <= 0.0 or locs[-1] > 1.0:
                 raise ValueError("locations must lie in (0, 1]")
-            if not np.all(locs[1:] > locs[:-1]):
+            if not (locs[1:] > locs[:-1]).all():
                 raise ValueError("locations must be strictly increasing")
         # tiny slack: the crossing test rounds, so overshoot may poke one
         # ulp past the spacing bound
@@ -155,7 +169,7 @@ class SampleTrace:
 def _strictly_increasing(locations: np.ndarray) -> np.ndarray:
     """Nudge exact float ties (possible when a spacing underflows the gap
     to its running sum) up by one ulp; the fast path is a no-op."""
-    if bool(np.all(locations[1:] > locations[:-1])):
+    if (locations[1:] > locations[:-1]).all():
         return locations
     out = locations.copy()
     for i in range(1, out.size):
@@ -182,11 +196,12 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
         partial = np.cumsum(x, out=x)
         if drawn:  # a later block goes on from the running total
             partial += total
-        crossed = np.nonzero(partial > 1.0)[0]
-        if crossed.size:
-            cut = int(crossed[0])
+        # the sums never decrease, so the first one past 1 is found by bisection
+        cut = int(partial.searchsorted(1.0, side="right"))
+        if cut < partial.size:
             pieces.append(partial[:cut])
-            # stopping rule: last kept sum <= 1, and adding x[cut] crosses 1
+            # stopping rule: last kept sum <= 1, and adding x[cut] crosses 1;
+            # it also guards the order that the bisection assumes
             if not ((cut == 0 or partial[cut - 1] <= 1.0) and partial[cut] > 1.0):
                 raise RuntimeError("trace generation broke the stopping rule S_M <= 1 < S_M + X_{M+1}")
             break
@@ -206,7 +221,9 @@ def grid_deviation(trace: SampleTrace) -> float:
     m = trace.m
     if m == 0:
         raise ValueError("grid deviation is undefined for an empty trace")
-    return float(np.mean((trace.locations - np.arange(1, m + 1) / m) ** 2))
+    gap = trace.locations - np.arange(1, m + 1) / m
+    gap *= gap
+    return float(np.add.reduce(gap) / m)  # np.mean's own sum and division
 
 
 def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,

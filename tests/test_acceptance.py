@@ -84,17 +84,20 @@ def test_distortion_decays_like_one_over_n():
 
 
 def test_distortion_rate_holds_across_renewal_families():
-    slopes = {}
-    for family in (RenewalFamily(kind="triangular"),
-                   RenewalFamily(kind="scaled_beta", alpha=2.0, beta=2.0)):
+    details = []
+    ok = True
+    # v = Var(nX): 1/6 for the triangular law on (0, 2], 4 Var(Beta(2, 2)) = 1/5 for scaled_beta
+    for family, v in ((RenewalFamily(kind="triangular"), 1 / 6),
+                      (RenewalFamily(kind="scaled_beta", alpha=2.0, beta=2.0), 1 / 5)):
         result = run(_decay_config("DistortionSweep", renewal=family, trials=300), WORKERS)
-        slopes[family.kind] = result.slope.slope
-    ok = all(RATE_WINDOW[0] < s < RATE_WINDOW[1] for s in slopes.values())
-    _report(
-        "distortion rate, other renewal families",
-        ok,
-        ", ".join(f"{kind}: slope={s:.4f}" for kind, s in slopes.items()),
-    )
+        slope = result.slope.slope
+        predicted = _distortion_constant(PAPER1, sigma2=1 / 3, v=v)
+        largest = [row for row in result.summary if row.metric == "distortion"][-1]
+        scaled = largest.n * largest.mean
+        ok &= RATE_WINDOW[0] < slope < RATE_WINDOW[1] and abs(scaled - predicted) <= 4 * largest.n * largest.stderr
+        details.append(f"{family.kind}: slope={slope:.4f}, n*mean={scaled:.4f} +- {largest.n * largest.stderr:.4f} "
+                       f"at n={largest.n}, predicted {predicted:.4f}")
+    _report("distortion rate, other renewal families", ok, "; ".join(details))
 
 
 def test_energy_estimate_mse_decays_like_one_over_n():

@@ -508,6 +508,33 @@ def test_an_n_that_no_float_holds_exits_usage(paper2_file, sweep_config, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+# the address space the memory tests give themselves: room for the
+# interpreter and numpy, far too little for a trace of 10**12 samples
+_ADDRESS_SPACE = 3 << 30
+_LIMITED_MAIN = ("import resource, sys; "
+                 "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+                 f"limit = {_ADDRESS_SPACE} if hard == resource.RLIM_INFINITY else min(hard, {_ADDRESS_SPACE}); "
+                 "resource.setrlimit(resource.RLIMIT_AS, (limit, hard)); "
+                 "from unkloc.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("command, n", [("estimate", 10**12), ("estimate", 10**17), ("detect", 10**12),
+                                        ("sweep", 10**12)])
+def test_an_n_that_memory_cannot_hold_exits_usage(paper2_file, sweep_config, tmp_path, command, n):
+    # a float holds n, but the first draw block of about n spacings does not
+    # fit; the command runs under an address-space limit it sets on itself,
+    # so the allocation fails at once and nothing is really allocated
+    pytest.importorskip("resource")
+    if command == "sweep":
+        sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "n_grid": [200, n]}))
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]
+    else:
+        argv = [command, "--field", str(paper2_file), "--n", str(n)]
+    proc = _interpreter(_LIMITED_MAIN, *argv)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: not enough memory: "), proc.stderr
+
+
 def test_sweep_shape_flags_patch_the_config_renewal(sweep_config, tmp_path, capsys):
     data = json.loads(sweep_config.read_text())
     data["renewal"] = {"family": "scaled_beta", "alpha": 2.0}
@@ -848,12 +875,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def _fresh_interpreter(code: str) -> str:
-    """What code prints in a new interpreter that imports this unkloc."""
+def _interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run with args in a new interpreter that imports this unkloc."""
     src = str(Path(unkloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+def _fresh_interpreter(code: str) -> str:
+    """What code prints in a new interpreter that imports this unkloc."""
+    proc = _interpreter(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

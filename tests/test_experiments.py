@@ -348,6 +348,26 @@ def test_every_row_replays_bit_exactly_at_one_and_two_workers(mode, master_seed)
         assert (seed, _bits(values[row.metric])) == (row.seed, _bits(row.value))
 
 
+@pytest.mark.parametrize("mode, streams", [("DistortionSweep", 2), ("BandwidthCurve", 2), ("GridDeviation", 1),
+                                           ("EnergyMSE", 2)])
+def test_a_trial_builds_only_the_streams_it_draws_from(monkeypatch, mode, streams):
+    # a GridDeviation trial reads no noise, so it builds no noise stream
+    asked = []
+    monkeypatch.setattr(experiments, "spawn_rngs",
+                        lambda seed, count=2: asked.append(count) or spawn_rngs(seed, count))
+    cfg = ExperimentConfig.from_dict(_record(mode=mode, **{"n_grid": [100, 2000], **_SMALL_SWEEPS[mode]}))
+    run_cell(cfg, 2000, 1)
+    assert asked == [streams]
+
+
+def test_a_family_builds_one_spec_per_n_and_shape():
+    family = RenewalFamily(kind="scaled_beta", alpha=2.0)
+    assert family.spec_for(500) is family.spec_for(500)
+    assert family.spec_for(500) is not family.spec_for(501)
+    # an int shape equal to a float one keeps its own spec, as it would in another process
+    assert type(RenewalFamily(kind="scaled_beta", alpha=2).spec_for(500).alpha) is int
+
+
 def test_summary_mean_is_arithmetic_mean():
     result = run(_config())
     for srow in result.summary:

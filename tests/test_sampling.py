@@ -5,9 +5,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unkloc import sampling
 from unkloc.errors import ConfigError
 from unkloc.field import BandlimitedField, reference_field
 from unkloc.noise import NoiseSpec
@@ -242,6 +243,43 @@ def test_spawned_streams_are_independent():
     assert abs(corr) < 0.02
 
 
+MASK64 = (1 << 64) - 1
+
+
+def _spawned(seed, count):
+    """The streams as SeedSequence.spawn makes them: the reference that
+    spawn_rngs builds directly."""
+    children = np.random.SeedSequence(seed & MASK64).spawn(count)
+    return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**64 - 1, -1])
+def test_streams_are_the_children_that_spawn_makes(seed):
+    for ours, reference in ((spawn_rngs(seed, 1), _spawned(seed, 1)), (spawn_rngs(seed), _spawned(seed, 2))):
+        assert len(ours) == len(reference)
+        for rng, ref in zip(ours, reference):
+            assert np.array_equal(rng.random(16), ref.random(16))
+            assert np.array_equal(rng.beta(0.05, 2.0, 16), ref.beta(0.05, 2.0, 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-2**63, 2**64 - 1), n=st.integers(1, 2**53), trial=st.integers(0, 2**40))
+@example(seed=2**32 - 1, n=2**32 - 1, trial=2**32 - 1)
+@example(seed=2**32, n=2**32, trial=2**32)
+@example(seed=-1, n=1, trial=0)
+@example(seed=0, n=2**53, trial=2**40)
+def test_trial_seed_is_the_seed_sequence_hash_of_the_cell(seed, n, trial):
+    # the words trial_seed hands SeedSequence are the ones it would make itself
+    ss = np.random.SeedSequence(entropy=(seed & MASK64, n, trial))
+    assert trial_seed(seed, n, trial) == int(ss.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("n, trial", [(-1, 0), (1000, -1), (-(2**40), -3)])
+def test_trial_seed_refuses_a_negative_cell(n, trial):
+    with pytest.raises(ValueError, match="n >= 0 and trial >= 0"):
+        trial_seed(5, n, trial)
+
+
 def test_spawn_rngs_reproducible():
     r1, r2 = spawn_rngs(987654321)
     s1, s2 = spawn_rngs(987654321)
@@ -289,3 +327,18 @@ def test_seeded_draws_are_pinned(renewal):
         digest = hashlib.sha256(read.locations.tobytes() + read.readings.tobytes()).hexdigest()
         digests.append(digest[:16])
     assert tuple(digests) == PINNED_DIGESTS[renewal]
+
+
+def test_a_trace_of_two_draw_blocks_is_pinned(monkeypatch):
+    # Var(nX) is about 13 for scaled_beta(0.05, 2), so its first block of
+    # n + 6 sqrt(n) + 16 spacings stays below 1 in about 1 trace of 20, and
+    # the second block goes on from the first one's total; trial 10 is one
+    blocks = []
+    draw = sampling._draw_block
+    monkeypatch.setattr(sampling, "_draw_block", lambda spec, rng, size: blocks.append(size) or draw(spec, rng, size))
+    rng_trace, rng_noise = spawn_rngs(trial_seed(11, 1000, 10))
+    trace = generate_trace(RenewalSpec(1000, "scaled_beta", 0.05), rng_trace)
+    read = acquire(trace, BandlimitedField(0, [0.0]), NoiseSpec("gaussian", (0.5,)), rng_noise)
+    assert len(blocks) == 2 and read.m == 1339
+    digest = hashlib.sha256(read.locations.tobytes() + read.readings.tobytes()).hexdigest()
+    assert digest[:16] == "d6619f557e80a253"
