@@ -8,7 +8,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     FieldSource,
-    RenewalFamily,
     SlopeFit,
     fit_loglog_slope,
     run,
@@ -16,6 +15,7 @@ from .experiments import (
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
 from .sampling import (
+    RenewalLaw,
     RenewalSpec,
     SampleTrace,
     acquire,
@@ -36,7 +36,7 @@ __all__ = [
     "ExperimentResult",
     "FieldSource",
     "NoiseSpec",
-    "RenewalFamily",
+    "RenewalLaw",
     "RenewalSpec",
     "SampleTrace",
     "SlopeFit",

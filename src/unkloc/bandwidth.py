@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, density, whole
+from .errors import ConfigError, density, number, whole
 from .estimator import _check_readings, energy_estimate, harmonics
 
 
@@ -27,7 +27,7 @@ class BandwidthConfig:
 
     def __post_init__(self) -> None:
         # an int compares exactly with inf, so a huge one reaches the overflow check
-        if isinstance(self.delta, bool) or not (isinstance(self.delta, (int, float)) and 0 < self.delta < math.inf):
+        if not 0 < number("delta", self.delta) < math.inf:
             raise ConfigError(f"delta must be a finite positive number, got {self.delta!r}")
         if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be non-negative")

@@ -92,7 +92,7 @@ def _simulated_readings(args, mode: str, **entries):
                             "n_grid": [args.n]}, **entries)
     truth = config.field_source.resolve()
     rng_trace, rng_noise = spawn_rngs(args.seed)
-    trace = generate_trace(config.renewal.spec_for(args.n), rng_trace)
+    trace = generate_trace(config.renewal.at(args.n), rng_trace)
     return config, truth, acquire(trace, truth, config.noise, rng_noise)
 
 
@@ -137,8 +137,14 @@ def cmd_sweep(args) -> int:
     config = _config(args, load_record(args.config), n_grid=args.n, trials=args.trials,
                      master_seed=args.seed, delta=args.delta)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = run(config, workers=_workers_from_env())
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the trials: an unwritable --out fails at once
+    try:
+        result = run(config, workers=_workers_from_env())
+    except BaseException:
+        if created:  # a failed sweep leaves no empty directory behind
+            out_dir.rmdir()
+        raise
     write_rows_csv(result, out_dir / "rows.csv")
     write_summary_csv(result, out_dir / "summary.csv")
     write_slope_json(result, out_dir / "slope.json")

@@ -20,6 +20,13 @@ def whole(name: str, value, low: int | None = None) -> int:
     raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def number(name: str, value):
+    """value, unchanged; a ConfigError naming it unless it is an int or a float and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def density(value, name: str = "n") -> int:
     """A sample density n as an int: a whole number >= 1 that a float can
     hold, as every formula in n (lam/n, n**(-1/3)) runs in floats."""

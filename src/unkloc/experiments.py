@@ -26,17 +26,11 @@ from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
-from .sampling import RenewalSpec, SampleTrace, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
+from .sampling import RenewalLaw, SampleTrace, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
 
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
 SLOPE_FLOOR = 1e-25
-
-
-# RenewalFamily.spec_for: one spec per (n, shape), reused by every trial at
-# that n.  typed, so that a shape given as an int and one given as a float
-# keep their own specs, as they would in separate processes.
-_spec = functools.lru_cache(maxsize=128, typed=True)(RenewalSpec)
 
 # the record keys each field source reads besides "source"
 _SOURCE_KEYS = {"paper1": (), "paper2": (), "random": ("b", "seed"), "file": ("path",)}
@@ -78,34 +72,6 @@ class FieldSource:
         return source
 
 
-@dataclass(frozen=True)
-class RenewalFamily:
-    """n-independent part of a renewal spec; the sweep supplies n."""
-
-    kind: str
-    alpha: float = RenewalSpec.alpha  # the scaled_beta shape defaults live on RenewalSpec
-    beta: float = RenewalSpec.beta
-
-    def __post_init__(self) -> None:
-        # validate eagerly via a probe spec
-        self.spec_for(2)
-
-    def spec_for(self, n: int) -> RenewalSpec:
-        return _spec(n, self.kind, self.alpha, self.beta)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RenewalFamily":
-        """A missing or null alpha/beta takes the RenewalSpec default; other families take no shape."""
-        kind = data.get("family")
-        if kind is None:
-            raise ConfigError("renewal record needs a 'family' entry")
-        shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
-        family = cls(kind=str(kind), **shape)
-        refuse_unread(data, f"{family.kind} renewal law",
-                      ("family", "alpha", "beta") if family.kind == "scaled_beta" else ("family",))
-        return family
-
-
 # the config entries every mode reads; a mode's row names the others it reads
 _SHARED = ("mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed")
 
@@ -114,7 +80,7 @@ _SHARED = ("mode", "field", "renewal", "noise", "n_grid", "trials", "master_seed
 class ExperimentConfig:
     mode: str
     field_source: FieldSource
-    renewal: RenewalFamily
+    renewal: RenewalLaw
     noise: NoiseSpec
     n_grid: tuple[int, ...]
     trials: int = 1000
@@ -131,10 +97,9 @@ class ExperimentConfig:
         grid = tuple(density(n, "n_grid entry") for n in self.n_grid)
         if not grid or any(b >= a for b, a in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be a non-empty, strictly increasing list")
-        lam = self.renewal.spec_for(grid[0]).lam
-        if grid[0] < lam:
-            raise ConfigError(f"n_grid must start at n >= lam = {lam:g} of the {self.renewal.kind} renewal law; "
-                              "below it a trace can hold no sample")
+        if grid[0] < self.renewal.lam:
+            raise ConfigError(f"n_grid must start at n >= lam = {self.renewal.lam:g} of the {self.renewal.family} "
+                              "renewal law; below it a trace can hold no sample")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "trials", whole("trials", self.trials, 1))
         object.__setattr__(self, "master_seed", whole("master_seed", self.master_seed))
@@ -156,7 +121,7 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"experiment config is missing {missing}")
         entries = {names[key].name: value for key, value in data.items()}
-        for key, parse in (("field", FieldSource.from_dict), ("renewal", RenewalFamily.from_dict),
+        for key, parse in (("field", FieldSource.from_dict), ("renewal", RenewalLaw.from_dict),
                            ("noise", NoiseSpec.from_dict)):
             if not isinstance(data[key], dict):
                 raise ConfigError(f"experiment config entry {key!r} must be a mapping")
@@ -283,7 +248,7 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
     seed = trial_seed(config.master_seed, n, trial)
     try:
         rngs = spawn_rngs(seed, 1 + mode.readings)  # the noise stream only for readings
-        trace = generate_trace(config.renewal.spec_for(n), rngs[0])
+        trace = generate_trace(config.renewal.at(n), rngs[0])
         if mode.readings:
             trace = acquire(trace, truth, config.noise, rngs[1])
         return seed, dict(zip(mode.metrics, mode.step(config, truth, trace)))

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, refuse_unread
+from .errors import ConfigError, number, refuse_unread
 
 DEFAULT_GAUSSIAN_CUT = 6.0
 
@@ -89,7 +89,7 @@ class NoiseSpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(float(number("noise parameter", p)) for p in self.params))
         law = _LAWS.get(self.family)
         if law is None:
             raise ConfigError(f"unknown noise family {self.family!r}; choose from {FAMILIES}")
@@ -128,9 +128,9 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseSpec":
-        try:
-            spec = cls(str(data["family"]), tuple(data.get("params", ())))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"noise record must carry 'family' and 'params': {exc}")
+        params = data.get("params", [])  # a list: a string or a mapping would be read item by item
+        if "family" not in data or not isinstance(params, list):
+            raise ConfigError(f"noise record needs a 'family' and a list of 'params', got {data}")
+        spec = cls(str(data["family"]), tuple(params))
         refuse_unread(data, f"{spec.family} noise", ("family", "params"))
         return spec

@@ -10,13 +10,12 @@ comes from Philox, a counter-based 64-bit generator, keyed by a hash of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, density
+from .errors import ConfigError, density, number, refuse_unread
 from .field import BandlimitedField
 from .noise import NoiseSpec, redraw
 
@@ -53,44 +52,10 @@ def spawn_rngs(seed: int, count: int = 2) -> tuple[np.random.Generator, ...]:
                  for i in range(count))
 
 
-@dataclass(frozen=True)
-class RenewalSpec:
-    """Spacing law: n X has mean 1 and support inside (0, lam].
-
-    lam is not a parameter: the mean-1 constraint pins it, through the
-    family's row of ``_LAWS``.  alpha and beta shape scaled_beta only.
-    """
-
-    n: int
-    family: str
-    alpha: float = 2.0
-    beta: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", density(self.n))
-        if self.family not in _LAWS:
-            raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
-        if not self.lam < math.inf:  # the scaled_beta rule refuses a bad shape first
-            raise ConfigError(f"{self.family} renewal law with alpha={self.alpha}, beta={self.beta} has no finite lam")
-
-    @cached_property
-    def lam(self) -> float:
-        return _LAWS[self.family].lam(self.alpha, self.beta)
-
-    @property
-    def max_spacing(self) -> float:
-        return self.lam / self.n
-
-    @classmethod
-    def uniform(cls, n: int) -> "RenewalSpec":
-        """n X ~ Uniform(0, 2]."""
-        return cls(n, "uniform")
-
-
 def _beta_lam(alpha: float, beta: float) -> float:
     """n X = lam * Beta(alpha, beta) has mean 1 at lam = (alpha+beta)/alpha."""
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):
-        raise ConfigError(f"scaled_beta needs finite alpha > 0 and beta > 0, got {alpha!r}, {beta!r}")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf and (alpha + beta) / alpha < math.inf):
+        raise ConfigError(f"scaled_beta needs finite alpha > 0, beta > 0 and lam, got {alpha!r}, {beta!r}")
     return (alpha + beta) / alpha
 
 
@@ -104,7 +69,7 @@ def _uniform(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarr
 
 
 class _Law(NamedTuple):
-    lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta)
+    lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta); refuses a bad shape
     draw: Callable[[RenewalSpec, np.random.Generator, int], np.ndarray]  # size spacings X
 
 
@@ -114,7 +79,7 @@ _LAWS = {
     "triangular": _Law(lambda a, b: 2.0, lambda spec, rng, size: redraw(
         lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), size, lambda v: v <= 0.0, spec) / spec.n),
     "scaled_beta": _Law(_beta_lam, lambda spec, rng, size: redraw(
-        lambda k: rng.beta(spec.alpha, spec.beta, size=k), size, lambda v: v <= 0.0, spec) * spec.max_spacing),
+        lambda k: rng.beta(spec.law.alpha, spec.law.beta, size=k), size, lambda v: v <= 0.0, spec) * spec.max_spacing),
     # X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)
     "degenerate": _Law(lambda a, b: 1.0, lambda spec, rng, size: np.full(size, 1.0 / spec.n)),
 }
@@ -122,21 +87,74 @@ _LAWS = {
 FAMILIES = tuple(_LAWS)
 
 
+@dataclass(frozen=True)
+class RenewalLaw:
+    """The spacing law of n X, at every density n: mean 1, support inside
+    (0, lam].  lam is not a parameter: the mean-1 constraint pins it, through
+    the family's row of ``_LAWS``.  alpha and beta shape scaled_beta only."""
+
+    family: str
+    alpha: float = 2.0
+    beta: float = 2.0
+    lam: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.family not in _LAWS:
+            raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
+        object.__setattr__(self, "lam", _LAWS[self.family].lam(number("alpha", self.alpha), number("beta", self.beta)))
+
+    def at(self, n: int) -> "RenewalSpec":
+        """This law at sample density n."""
+        return RenewalSpec(n, self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RenewalLaw":
+        """A missing or null alpha/beta takes the default; other families take no shape."""
+        family = data.get("family")
+        if family is None:
+            raise ConfigError("renewal record needs a 'family' entry")
+        shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
+        law = cls(str(family), **shape)
+        refuse_unread(data, f"{law.family} renewal law",
+                      ("family", "alpha", "beta") if law.family == "scaled_beta" else ("family",))
+        return law
+
+
+@dataclass(frozen=True)
+class RenewalSpec:
+    """A renewal law at sample density n: the spacings X have mean 1/n and
+    support inside (0, lam/n]."""
+
+    n: int
+    law: RenewalLaw
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", density(self.n))
+
+    @property
+    def max_spacing(self) -> float:
+        return self.law.lam / self.n
+
+    @classmethod
+    def uniform(cls, n: int) -> "RenewalSpec":
+        """n X ~ Uniform(0, 2]."""
+        return cls(n, RenewalLaw("uniform"))
+
+
 def _draw_block(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    return _LAWS[spec.family].draw(spec, rng, size)
+    return _LAWS[spec.law.family].draw(spec, rng, size)
 
 
 @dataclass(frozen=True)
 class SampleTrace:
     """Ordered locations S_1 < ... < S_M in (0, 1] plus optional readings.
 
-    overshoot is 1 - S_M.  The stopping rule S_M <= 1 < S_M + X_{M+1} is
-    checked during generation; the crossing spacing itself is discarded.
+    The stopping rule S_M <= 1 < S_M + X_{M+1} is checked during
+    generation; the crossing spacing itself is discarded.
     """
 
     spec: RenewalSpec
     locations: np.ndarray
-    overshoot: float
     readings: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -148,11 +166,11 @@ class SampleTrace:
                 raise ValueError("locations must lie in (0, 1]")
             if not (locs[1:] > locs[:-1]).all():
                 raise ValueError("locations must be strictly increasing")
-        # tiny slack: the crossing test rounds, so overshoot may poke one
-        # ulp past the spacing bound
-        if not (-1e-12 <= self.overshoot <= self.spec.max_spacing + 1e-12):
-            raise ValueError("overshoot must lie in [0, lam/n)")
-        if (self.m + 1) * self.spec.lam < self.spec.n - 1e-9:
+        # S_M lies within one spacing of 1; tiny slack, as the crossing test
+        # rounds, so the overshoot may poke one ulp past the spacing bound
+        if self.overshoot > self.spec.max_spacing + 1e-12:
+            raise ValueError("overshoot 1 - S_M must lie in [0, lam/n)")
+        if (self.m + 1) * self.spec.law.lam < self.spec.n - 1e-9:
             raise ValueError("trace is too short for the spacing bound (M + 1 >= n/lam)")
         if self.readings is not None:
             r = np.asarray(self.readings)
@@ -164,6 +182,11 @@ class SampleTrace:
     @property
     def m(self) -> int:
         return int(self.locations.size)
+
+    @property
+    def overshoot(self) -> float:
+        """1 - S_M, or 1 for a trace with no sample."""
+        return 1.0 - float(self.locations[-1]) if self.locations.size else 1.0
 
 
 def _strictly_increasing(locations: np.ndarray) -> np.ndarray:
@@ -182,11 +205,10 @@ def _strictly_increasing(locations: np.ndarray) -> np.ndarray:
 
 def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
     """Accumulate spacings until the partial sum would exceed 1."""
-    if spec.family == "degenerate":
+    if spec.law.family == "degenerate":
         # Exact arithmetic gives S_i = i/n and M = n; summing rounded 1/n
         # spacings in floats would drift past 1 and drop the final point.
-        m = spec.n
-        return SampleTrace(spec=spec, locations=np.arange(1, m + 1) / m, overshoot=0.0)
+        return SampleTrace(spec=spec, locations=np.arange(1, spec.n + 1) / spec.n)
     pieces: list[np.ndarray] = []
     total = 0.0
     drawn = 0
@@ -212,8 +234,7 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
             raise RuntimeError("trace generation exceeded the iteration cap without reaching 1")
     # the first block nearly always crosses 1, and then there is nothing to join
     locations = _strictly_increasing(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
-    last = float(locations[-1]) if locations.size else 0.0
-    return SampleTrace(spec=spec, locations=locations, overshoot=1.0 - last)
+    return SampleTrace(spec=spec, locations=locations)
 
 
 def grid_deviation(trace: SampleTrace) -> float:

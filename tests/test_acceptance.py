@@ -11,10 +11,10 @@ import numpy as np
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth
 from unkloc.estimator import estimate_field
-from unkloc.experiments import ExperimentConfig, FieldSource, RenewalFamily, run
+from unkloc.experiments import ExperimentConfig, FieldSource, run
 from unkloc.field import BandlimitedField, distortion, random_field, reference_field
 from unkloc.noise import NoiseSpec
-from unkloc.sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
 SEED = 20260822
 RATE_WINDOW = (-1.3, -0.7)  # acceptable log-log slope for 1/n decay
@@ -31,7 +31,7 @@ def _decay_config(mode, **kw):
     base = dict(
         mode=mode,
         field_source=FieldSource(kind="paper1"),
-        renewal=RenewalFamily(kind="uniform"),
+        renewal=RenewalLaw("uniform"),
         noise=NoiseSpec.uniform_sym(1.0),
         n_grid=(1000, 10_000, 100_000),
         trials=1000,
@@ -87,15 +87,15 @@ def test_distortion_rate_holds_across_renewal_families():
     details = []
     ok = True
     # v = Var(nX): 1/6 for the triangular law on (0, 2], 4 Var(Beta(2, 2)) = 1/5 for scaled_beta
-    for family, v in ((RenewalFamily(kind="triangular"), 1 / 6),
-                      (RenewalFamily(kind="scaled_beta", alpha=2.0, beta=2.0), 1 / 5)):
-        result = run(_decay_config("DistortionSweep", renewal=family, trials=300), WORKERS)
+    for law, v in ((RenewalLaw("triangular"), 1 / 6),
+                   (RenewalLaw("scaled_beta", alpha=2.0, beta=2.0), 1 / 5)):
+        result = run(_decay_config("DistortionSweep", renewal=law, trials=300), WORKERS)
         slope = result.slope.slope
         predicted = _distortion_constant(PAPER1, sigma2=1 / 3, v=v)
         largest = [row for row in result.summary if row.metric == "distortion"][-1]
         scaled = largest.n * largest.mean
         ok &= RATE_WINDOW[0] < slope < RATE_WINDOW[1] and abs(scaled - predicted) <= 4 * largest.n * largest.stderr
-        details.append(f"{family.kind}: slope={slope:.4f}, n*mean={scaled:.4f} +- {largest.n * largest.stderr:.4f} "
+        details.append(f"{law.family}: slope={slope:.4f}, n*mean={scaled:.4f} +- {largest.n * largest.stderr:.4f} "
                        f"at n={largest.n}, predicted {predicted:.4f}")
     _report("distortion rate, other renewal families", ok, "; ".join(details))
 
@@ -115,7 +115,7 @@ def test_detection_success_rises_to_certainty():
     config = ExperimentConfig(
         mode="BandwidthCurve",
         field_source=FieldSource(kind="paper2"),
-        renewal=RenewalFamily(kind="uniform"),
+        renewal=RenewalLaw("uniform"),
         noise=NoiseSpec.uniform_sym(1.0),
         n_grid=(5000, 10_000, 20_000, 50_000),
         trials=100,
@@ -137,7 +137,7 @@ def test_grid_deviation_scales_like_one_over_n():
     config = ExperimentConfig(
         mode="GridDeviation",
         field_source=FieldSource(kind="paper1"),
-        renewal=RenewalFamily(kind="uniform"),
+        renewal=RenewalLaw("uniform"),
         noise=NoiseSpec("zero"),
         n_grid=(1000, 10_000, 100_000),
         trials=1000,
@@ -193,7 +193,7 @@ def test_noiseless_regular_sampling_recovers_exactly():
     worst = 0.0
     for field in fields:
         for n in (2 * field.b + 1, 201):
-            trace = generate_trace(RenewalSpec(n, "degenerate"), np.random.default_rng(0))
+            trace = generate_trace(RenewalLaw("degenerate").at(n), np.random.default_rng(0))
             read = acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0))
             est = estimate_field(read.readings, field.b)
             worst = max(worst, distortion(field, est))

@@ -17,7 +17,7 @@ from unkloc.bandwidth import (
 from unkloc.errors import ConfigError
 from unkloc.field import BandlimitedField, reference_field
 from unkloc.noise import NoiseSpec
-from unkloc.sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
 
 def _config(delta=0.1, sigma2=1.0 / 3.0, n=10**6, **kw):
@@ -106,7 +106,7 @@ def test_stop_band_default_is_half_delta_squared():
 
 
 def _clean_readings(field, n=2000):
-    trace = generate_trace(RenewalSpec(n, "degenerate"), np.random.default_rng(0))
+    trace = generate_trace(RenewalLaw("degenerate").at(n), np.random.default_rng(0))
     return acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0)).readings
 
 

@@ -307,6 +307,21 @@ def test_sweep_refuses_an_empty_grid_flag(sweep_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_failed_sweep_removes_only_the_directory_it_made(sweep_config, tmp_path, monkeypatch, capsys, existed):
+    out_dir = tmp_path / "o"
+    if existed:
+        out_dir.mkdir()
+
+    def starved(config, workers):
+        raise MemoryError("no room for the rows")
+
+    monkeypatch.setattr(cli, "run", starved)
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out_dir)]) == EXIT_USAGE
+    assert "not enough memory" in capsys.readouterr().err
+    assert out_dir.exists() == existed
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")])
@@ -317,8 +332,8 @@ def test_scaled_beta_shape_flags_default_per_flag(paper2_file, sweep_config, tmp
     # unset --alpha/--beta keep the family default of 2, so lam = (alpha + 2) / alpha
     lams = []
     monkeypatch.setattr(cli, "generate_trace",
-                        lambda spec, rng: lams.append(spec.lam) or generate_trace(spec, rng))
-    monkeypatch.setattr(cli, "run", lambda config, workers: lams.append(config.renewal.spec_for(1).lam)
+                        lambda spec, rng: lams.append(spec.law.lam) or generate_trace(spec, rng))
+    monkeypatch.setattr(cli, "run", lambda config, workers: lams.append(config.renewal.lam)
                         or run(config))
     assert main(["estimate", "--field", str(paper2_file), "--n", "100",
                  "--renewal", "scaled_beta", "--out", os.devnull]) == EXIT_OK
@@ -438,6 +453,13 @@ def test_estimate_on_any_finite_field_file_exits_ok_or_usage(tmp_path_factory, f
     {"renewal": {"family": "scaled_beta", "alpha": "x"}},
     {"field": {"source": "random", "b": "x", "seed": 1}},
     {"noise": {"family": "uniform", "params": [1e200]}, "mode": "EnergyMSE"},  # moments overflow
+    # booleans and strings are not numbers: a JSON true would read as 1, and a
+    # string or a mapping would be read one character or key at a time
+    {"renewal": {"family": "scaled_beta", "alpha": True}},
+    {"renewal": {"family": "scaled_beta", "beta": True}},
+    {"noise": {"family": "gaussian", "params": "12"}},
+    {"noise": {"family": "uniform", "params": {"3": 1}}},
+    {"noise": {"family": "uniform", "params": [True]}},
 ])
 def test_sweep_config_type_errors_exit_usage(sweep_config, tmp_path, capsys, patch):
     sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), **patch}))

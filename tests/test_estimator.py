@@ -22,7 +22,7 @@ from unkloc import estimator
 from unkloc.estimator import LEAF, energy_estimate, estimate_field, harmonics
 from unkloc.field import random_field, reference_field
 from unkloc.noise import NoiseSpec
-from unkloc.sampling import RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
 
 def project_oracle(readings, k):
@@ -285,7 +285,7 @@ def _fd_constant(field, k, grid=8192):
 
 def test_degenerate_noiseless_recovery_is_float_exact():
     field = reference_field("paper1")
-    trace = generate_trace(RenewalSpec(100, "degenerate"), np.random.default_rng(0))
+    trace = generate_trace(RenewalLaw("degenerate").at(100), np.random.default_rng(0))
     read = acquire(trace, field, NoiseSpec("zero"), np.random.default_rng(0))
     est = estimate_field(read.readings, field.b)
     for k in range(-3, 4):

@@ -17,7 +17,6 @@ from unkloc.experiments import (
     MODES,
     ExperimentConfig,
     FieldSource,
-    RenewalFamily,
     fit_loglog_slope,
     load_rows_csv,
     run,
@@ -27,14 +26,14 @@ from unkloc.experiments import (
     write_summary_csv,
 )
 from unkloc.noise import NoiseSpec
-from unkloc.sampling import generate_trace, spawn_rngs, trial_seed
+from unkloc.sampling import RenewalLaw, generate_trace, spawn_rngs, trial_seed
 
 
 def _config(**kw):
     base = dict(
         mode="DistortionSweep",
         field_source=FieldSource(kind="paper1"),
-        renewal=RenewalFamily(kind="uniform"),
+        renewal=RenewalLaw("uniform"),
         noise=NoiseSpec.uniform_sym(1.0),
         n_grid=(200, 400, 800),
         trials=4,
@@ -162,8 +161,8 @@ def test_config_rejects_grid_below_lambda():
     with pytest.raises(ConfigError, match="lam = 2"):
         _config(n_grid=(1, 200))
     with pytest.raises(ConfigError, match="lam = 4"):
-        _config(renewal=RenewalFamily(kind="scaled_beta", alpha=1.0, beta=3.0), n_grid=(3, 200))
-    assert _config(renewal=RenewalFamily(kind="degenerate"), n_grid=(1, 200)).n_grid[0] == 1
+        _config(renewal=RenewalLaw("scaled_beta", alpha=1.0, beta=3.0), n_grid=(3, 200))
+    assert _config(renewal=RenewalLaw("degenerate"), n_grid=(1, 200)).n_grid[0] == 1
 
 
 def test_config_rejects_unknown_mode():
@@ -218,19 +217,19 @@ def test_records_refuse_entries_their_kind_does_not_read():
             FieldSource.from_dict(record)
     for kind in ("uniform", "triangular", "degenerate"):
         with pytest.raises(ConfigError, match=r"does not read \['alpha'\]"):
-            RenewalFamily.from_dict({"family": kind, "alpha": 2.0})
+            RenewalLaw.from_dict({"family": kind, "alpha": 2.0})
     # a null entry is an unset one
     assert FieldSource.from_dict({"source": "paper1", "b": None}) == FieldSource(kind="paper1")
-    assert RenewalFamily.from_dict({"family": "uniform", "beta": None}) == RenewalFamily(kind="uniform")
+    assert RenewalLaw.from_dict({"family": "uniform", "beta": None}) == RenewalLaw("uniform")
 
 
-def test_renewal_family_takes_the_spec_shape_defaults():
-    family = RenewalFamily.from_dict({"family": "scaled_beta", "alpha": None})
-    assert family == RenewalFamily(kind="scaled_beta", alpha=2.0, beta=2.0)
-    assert family.spec_for(10).lam == 2.0
-    assert RenewalFamily.from_dict({"family": "scaled_beta", "beta": 6.0}).spec_for(10).lam == 4.0
+def test_renewal_law_takes_the_shape_defaults():
+    law = RenewalLaw.from_dict({"family": "scaled_beta", "alpha": None})
+    assert law == RenewalLaw("scaled_beta", alpha=2.0, beta=2.0)
+    assert law.lam == 2.0
+    assert RenewalLaw.from_dict({"family": "scaled_beta", "beta": 6.0}).lam == 4.0
     with pytest.raises(ConfigError):
-        RenewalFamily(kind="scaled_beta", alpha=-1.0)
+        RenewalLaw("scaled_beta", alpha=-1.0)
 
 
 def test_config_applies_the_detector_rules_at_load():
@@ -360,14 +359,6 @@ def test_a_trial_builds_only_the_streams_it_draws_from(monkeypatch, mode, stream
     assert asked == [streams]
 
 
-def test_a_family_builds_one_spec_per_n_and_shape():
-    family = RenewalFamily(kind="scaled_beta", alpha=2.0)
-    assert family.spec_for(500) is family.spec_for(500)
-    assert family.spec_for(500) is not family.spec_for(501)
-    # an int shape equal to a float one keeps its own spec, as it would in another process
-    assert type(RenewalFamily(kind="scaled_beta", alpha=2).spec_for(500).alpha) is int
-
-
 def test_summary_mean_is_arithmetic_mean():
     result = run(_config())
     for srow in result.summary:
@@ -387,7 +378,7 @@ def test_distortion_sweep_has_positive_slope_fit():
 
 
 def test_noiseless_degenerate_sweep_hits_slope_floor():
-    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec("zero"),
+    cfg = _config(renewal=RenewalLaw("degenerate"), noise=NoiseSpec("zero"),
                   trials=2)
     result = run(cfg)
     for row in result.rows:
@@ -440,7 +431,7 @@ def test_distortion_trial_allocates_about_three_readings_arrays():
     cfg = _config(n_grid=(100_000,), trials=1)
     truth = cfg.field_source.resolve()
     rng_trace, _ = spawn_rngs(trial_seed(cfg.master_seed, 100_000, 0))
-    readings_bytes = 8 * generate_trace(cfg.renewal.spec_for(100_000), rng_trace).m
+    readings_bytes = 8 * generate_trace(cfg.renewal.at(100_000), rng_trace).m
     tracemalloc.start()
     try:
         run_cell(cfg, 100_000, 0, truth)
@@ -516,7 +507,7 @@ def test_slope_json(tmp_path):
 
 
 def test_slope_json_records_note_when_unfit(tmp_path):
-    cfg = _config(renewal=RenewalFamily(kind="degenerate"), noise=NoiseSpec("zero"),
+    cfg = _config(renewal=RenewalLaw("degenerate"), noise=NoiseSpec("zero"),
                   trials=2)
     result = run(cfg)
     path = tmp_path / "slope.json"

@@ -13,6 +13,7 @@ from unkloc.errors import ConfigError
 from unkloc.field import BandlimitedField, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import (
+    RenewalLaw,
     RenewalSpec,
     SampleTrace,
     _draw_block,
@@ -25,9 +26,9 @@ from unkloc.sampling import (
 
 FAMILY_SPECS = [
     RenewalSpec.uniform(200),
-    RenewalSpec(200, "triangular"),
-    RenewalSpec(200, "scaled_beta", 2.0, 2.0),
-    RenewalSpec(200, "scaled_beta", 1.0, 3.0),
+    RenewalLaw("triangular").at(200),
+    RenewalLaw("scaled_beta", 2.0, 2.0).at(200),
+    RenewalLaw("scaled_beta", 1.0, 3.0).at(200),
 ]
 
 
@@ -39,35 +40,43 @@ def _rng(seed=0):
 
 
 def test_uniform_lambda_is_pinned():
-    assert RenewalSpec.uniform(10).lam == 2.0
-    assert RenewalSpec(10, "triangular").lam == 2.0
+    assert RenewalSpec.uniform(10).law.lam == 2.0
+    assert RenewalLaw("triangular").lam == 2.0
 
 
 def test_scaled_beta_lambda_follows_shape():
-    spec = RenewalSpec(10, "scaled_beta", 1.0, 3.0)
-    assert spec.lam == pytest.approx(4.0, abs=1e-12)
-    assert RenewalSpec(10, "scaled_beta").lam == 2.0
-    for alpha, beta in ((0.0, 2.0), (2.0, -1.0), (float("inf"), 2.0), (2.0, float("nan"))):
+    assert RenewalLaw("scaled_beta", 1.0, 3.0).lam == pytest.approx(4.0, abs=1e-12)
+    assert RenewalLaw("scaled_beta").lam == 2.0
+    # a bad shape is refused by the law itself, before any n
+    for alpha, beta in ((0.0, 2.0), (2.0, -1.0), (float("inf"), 2.0), (2.0, float("nan")), (1e-310, 2.0)):
         with pytest.raises(ConfigError):
-            RenewalSpec(10, "scaled_beta", alpha, beta)
+            RenewalLaw("scaled_beta", alpha, beta)
 
 
 def test_degenerate_lambda_is_one():
-    assert RenewalSpec(10, "degenerate").lam == 1.0
+    assert RenewalLaw("degenerate").lam == 1.0
 
 
 def test_bad_family_and_n():
+    with pytest.raises(ConfigError, match="unknown renewal family"):
+        RenewalLaw("poisson")
     with pytest.raises(ConfigError):
-        RenewalSpec(n=10, family="poisson")
-    with pytest.raises(ConfigError):
-        RenewalSpec(n=0, family="uniform")
+        RenewalLaw("uniform").at(0)
     with pytest.raises(ConfigError, match="largest float"):  # lam/n runs in floats
-        RenewalSpec(n=10**400, family="uniform")
+        RenewalLaw("uniform").at(10**400)
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [True, "3", None, [2.0]])
+def test_a_shape_that_is_not_a_number_is_refused(key, value):
+    # a boolean would pass the range check as a shape of 1
+    with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        RenewalLaw("scaled_beta", **{key: value})
 
 
 def test_max_spacing():
     assert RenewalSpec.uniform(100).max_spacing == pytest.approx(0.02)
-    assert RenewalSpec(100, "degenerate").max_spacing == pytest.approx(0.01)
+    assert RenewalLaw("degenerate").at(100).max_spacing == pytest.approx(0.01)
 
 
 # spacing distributions -------------------------------------------------------
@@ -84,13 +93,13 @@ def test_spacing_support_and_mean(spec):
 
 
 def test_degenerate_spacing_is_exact():
-    spec = RenewalSpec(100, "degenerate")
+    spec = RenewalLaw("degenerate").at(100)
     draws = _draw_block(spec, _rng(0), 50)
     assert np.all(draws == 0.01)
 
 
 def test_scalar_spacing_matches_support():
-    spec = RenewalSpec(50, "triangular")
+    spec = RenewalLaw("triangular").at(50)
     for _ in range(100):
         x = _draw_block(spec, _rng(_), 1)[0]
         assert 0.0 < x <= spec.max_spacing
@@ -100,7 +109,7 @@ def test_scalar_spacing_matches_support():
 
 
 def test_degenerate_trace_is_the_exact_grid():
-    trace = generate_trace(RenewalSpec(100, "degenerate"), _rng(0))
+    trace = generate_trace(RenewalLaw("degenerate").at(100), _rng(0))
     assert trace.m == 100
     assert np.array_equal(trace.locations, np.arange(1, 101) / 100)
     assert trace.locations[-1] == 1.0
@@ -119,7 +128,7 @@ def test_trace_invariants(spec):
         assert 0.0 <= trace.overshoot <= spec.max_spacing
         # adding one more spacing must cross 1
         assert s[-1] + (1.0 - s[-1]) <= 1.0
-        assert trace.m + 1 >= spec.n / spec.lam - 1e-9
+        assert trace.m + 1 >= spec.n / spec.law.lam - 1e-9
 
 
 def test_trace_count_concentrates_near_n():
@@ -129,11 +138,11 @@ def test_trace_count_concentrates_near_n():
     for i in range(counts.size):
         counts[i] = generate_trace(spec, _rng(i)).m + 1
     se = np.std(counts, ddof=1) / np.sqrt(counts.size)
-    assert 1000 - 3 * se < np.mean(counts) < 1000 + spec.lam + 3 * se
+    assert 1000 - 3 * se < np.mean(counts) < 1000 + spec.law.lam + 3 * se
 
 
 def test_trace_is_deterministic_per_rng_state():
-    spec = RenewalSpec(300, "scaled_beta", 2.0, 2.0)
+    spec = RenewalLaw("scaled_beta", 2.0, 2.0).at(300)
     a = generate_trace(spec, _rng(9))
     b = generate_trace(spec, _rng(9))
     assert np.array_equal(a.locations, b.locations)
@@ -143,7 +152,7 @@ def test_trace_is_deterministic_per_rng_state():
 def test_trace_generation_stops_at_the_redraw_bound():
     # Beta(1e-300, 2) underflows to 0 on (almost) every draw, so no spacing is
     # ever accepted; the bound turns the endless redraw into a ConfigError
-    spec = RenewalSpec(100, "scaled_beta", 1e-300)
+    spec = RenewalLaw("scaled_beta", 1e-300).at(100)
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="redrawing"):
         generate_trace(spec, _rng(3))
@@ -154,7 +163,7 @@ def test_trace_generation_stops_at_the_redraw_bound():
 @given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1),
        family=st.sampled_from(["uniform", "triangular"]))
 def test_trace_invariants_property(n, seed, family):
-    spec = RenewalSpec(n, family)
+    spec = RenewalLaw(family).at(n)
     trace = generate_trace(spec, _rng(seed))
     s = trace.locations
     assert 0.0 < s[0] and s[-1] <= 1.0
@@ -169,27 +178,38 @@ def test_trace_invariants_property(n, seed, family):
 def test_trace_rejects_disordered_locations():
     spec = RenewalSpec.uniform(4)
     with pytest.raises(ValueError):
-        SampleTrace(spec=spec, locations=np.array([0.5, 0.4, 0.9]), overshoot=0.1)
+        SampleTrace(spec=spec, locations=np.array([0.5, 0.4, 0.9]))
 
 
 def test_trace_rejects_out_of_range_locations():
     spec = RenewalSpec.uniform(4)
     with pytest.raises(ValueError):
-        SampleTrace(spec=spec, locations=np.array([0.0, 0.5]), overshoot=0.1)
+        SampleTrace(spec=spec, locations=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
-        SampleTrace(spec=spec, locations=np.array([0.5, 1.2]), overshoot=0.1)
+        SampleTrace(spec=spec, locations=np.array([0.5, 1.2]))
 
 
 def test_trace_rejects_short_trace_for_n():
     # a single sample cannot cover n=10 when spacings are capped at lam/n
     spec = RenewalSpec.uniform(10)
     with pytest.raises(ValueError):
-        SampleTrace(spec=spec, locations=np.array([0.9]), overshoot=0.1)
+        SampleTrace(spec=spec, locations=np.array([0.9]))
+
+
+def test_trace_overshoot_follows_its_last_location():
+    spec = RenewalLaw("uniform").at(3)
+    assert SampleTrace(spec=spec, locations=np.array([0.9])).overshoot == pytest.approx(0.1)
+    assert SampleTrace(spec=RenewalSpec.uniform(1), locations=np.array([])).overshoot == 1.0
+    with pytest.raises(TypeError):  # it is no longer a field a caller can contradict
+        SampleTrace(spec=spec, locations=np.array([0.9]), overshoot=0.05)
+    # S_M = 0.3 lies more than lam/n = 2/3 below 1, so one more spacing could not cross it
+    with pytest.raises(ValueError, match="overshoot"):
+        SampleTrace(spec=spec, locations=np.array([0.2, 0.3]))
 
 
 def test_grid_deviation_single_sample():
     spec = RenewalSpec.uniform(4)
-    trace = SampleTrace(spec=spec, locations=np.array([0.9]), overshoot=0.1)
+    trace = SampleTrace(spec=spec, locations=np.array([0.9]))
     # M = 1: (0.9 - 1/1)^2 = 0.01
     assert grid_deviation(trace) == pytest.approx(0.01, abs=1e-15)
 
@@ -207,7 +227,7 @@ def test_acquire_zero_noise_reads_the_field_exactly():
 
 def test_acquire_appends_noise_of_matching_length():
     field = reference_field("paper2")
-    trace = generate_trace(RenewalSpec(400, "triangular"), _rng(4))
+    trace = generate_trace(RenewalLaw("triangular").at(400), _rng(4))
     read = acquire(trace, field, NoiseSpec.uniform_sym(0.5), _rng(5))
     resid = read.readings - field.evaluate(trace.locations)
     assert resid.shape == (trace.m,)
@@ -322,7 +342,7 @@ def test_seeded_draws_are_pinned(renewal):
     digests = []
     for family, params in PINNED_NOISES:
         rng_trace, rng_noise = spawn_rngs(trial_seed(11, 1000, 0))
-        trace = generate_trace(RenewalSpec(1000, *PINNED_RENEWALS[renewal]), rng_trace)
+        trace = generate_trace(RenewalLaw(*PINNED_RENEWALS[renewal]).at(1000), rng_trace)
         read = acquire(trace, flat, NoiseSpec(family, params), rng_noise)
         digest = hashlib.sha256(read.locations.tobytes() + read.readings.tobytes()).hexdigest()
         digests.append(digest[:16])
@@ -337,7 +357,7 @@ def test_a_trace_of_two_draw_blocks_is_pinned(monkeypatch):
     draw = sampling._draw_block
     monkeypatch.setattr(sampling, "_draw_block", lambda spec, rng, size: blocks.append(size) or draw(spec, rng, size))
     rng_trace, rng_noise = spawn_rngs(trial_seed(11, 1000, 10))
-    trace = generate_trace(RenewalSpec(1000, "scaled_beta", 0.05), rng_trace)
+    trace = generate_trace(RenewalLaw("scaled_beta", 0.05).at(1000), rng_trace)
     read = acquire(trace, BandlimitedField(0, [0.0]), NoiseSpec("gaussian", (0.5,)), rng_noise)
     assert len(blocks) == 2 and read.m == 1339
     digest = hashlib.sha256(read.locations.tobytes() + read.readings.tobytes()).hexdigest()
