@@ -13,22 +13,23 @@ import os
 import sys
 from pathlib import Path
 
-from .bandwidth import BandwidthConfig, detect_bandwidth
 from .errors import ConfigError
 from .estimator import estimate_field
 from .experiments import (
     ExperimentConfig,
     FieldSource,
+    detect,
     load_record,
     load_rows_csv,
     run,
     run_cell,
+    simulate,
     write_rows_csv,
     write_slope_json,
     write_summary_csv,
 )
 from .field import distortion
-from .sampling import FAMILIES as RENEWAL_FAMILIES, acquire, generate_trace, spawn_rngs
+from .sampling import FAMILIES as RENEWAL_FAMILIES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,14 +87,12 @@ def cmd_field_gen(args) -> int:
 
 
 def _simulated_readings(args, mode: str, **entries):
-    """A one-cell config from the flags, and one trace read with the raw --seed."""
+    """A one-cell config from the flags, its truth, and the trace of the sweep trial seeded by --seed."""
     config = _config(args, {"mode": mode, "field": {"source": "file", "path": args.field},
                             "renewal": {"family": "uniform"}, "noise": {"family": "zero"},
                             "n_grid": [args.n]}, **entries)
     truth = config.field_source.resolve()
-    rng_trace, rng_noise = spawn_rngs(args.seed)
-    trace = generate_trace(config.renewal.at(args.n), rng_trace)
-    return config, truth, acquire(trace, truth, config.noise, rng_noise)
+    return config, truth, simulate(config, truth, args.n, args.seed)
 
 
 def cmd_estimate(args) -> int:
@@ -114,8 +113,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_detect(args) -> int:
     config, _, trace = _simulated_readings(args, "BandwidthCurve", delta=args.delta, b_max=args.b_max)
-    outcome = detect_bandwidth(trace.readings, BandwidthConfig(
-        delta=config.delta, sigma2=config.noise.variance, n=args.n, b_max=config.b_max))
+    outcome = detect(config, trace)
     payload = outcome.to_dict()
     payload.update(n=args.n, seed=args.seed, delta=config.delta)
     _emit(payload, args.out)

@@ -14,7 +14,8 @@ leaf-sized.  Only k >= 0 is projected: A[-k] is the conjugate of A[k].
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import functools
+from collections.abc import Callable, Iterator
 from itertools import islice
 
 import numpy as np
@@ -41,23 +42,13 @@ def _half(n: int) -> int:
     return n // 2 - (n // 2) % 8
 
 
-def _leaves(lo: int, n: int) -> Iterator[tuple[int, int]]:
-    """(start, length) of each leaf of the piece [lo, lo + n), in order."""
+def _pairwise(part: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """part(start, length) of each leaf of [lo, lo + n), in order, added up
+    np.sum's tree: when part is np.sum over the leaf, this is np.sum over all."""
     if n <= LEAF:
-        yield lo, n
-    else:
-        half = _half(n)
-        yield from _leaves(lo, half)
-        yield from _leaves(lo + half, n - half)
-
-
-def _fold(parts: Iterator, n: int):
-    """One part per leaf of an n-point vector, taken in order, added up its
-    tree; when each part is np.sum over its leaf, this is np.sum over all."""
-    if n <= LEAF:
-        return next(parts)
+        return part(lo, n)
     half = _half(n)
-    return _fold(parts, half) + _fold(parts, n - half)
+    return _pairwise(part, lo, half) + _pairwise(part, lo + half, n - half)
 
 
 def _leaf_sums(y: np.ndarray, lo: int, n: int) -> Iterator[np.ndarray]:
@@ -87,9 +78,9 @@ def harmonics(y: np.ndarray) -> Iterator[complex]:
     steps every leaf one harmonic on, so no harmonic is projected before it
     is asked for."""
     m = y.size
-    steps = [_leaf_sums(y, lo, n) for lo, n in _leaves(0, m)]
+    leaf_sums = functools.cache(lambda lo, n: _leaf_sums(y, lo, n))  # one per leaf, made on first use
     while True:
-        yield _average(_fold(map(next, steps), m), m)
+        yield _average(_pairwise(lambda lo, n: next(leaf_sums(lo, n)), 0, m), m)
 
 
 def estimate_field(readings, b: int) -> BandlimitedField:
@@ -100,8 +91,8 @@ def estimate_field(readings, b: int) -> BandlimitedField:
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
     m = y.size
-    per_leaf = (np.array(list(islice(_leaf_sums(y, lo, n), b + 1))) for lo, n in _leaves(0, m))
-    a = [_average(sums, m) for sums in _fold(per_leaf, m)]
+    sums = _pairwise(lambda lo, n: np.array(list(islice(_leaf_sums(y, lo, n), b + 1))), 0, m)
+    a = [_average(pair, m) for pair in sums]
     return BandlimitedField(b=b, coeffs=[*(c.conjugate() for c in a[:0:-1]), *a])
 
 

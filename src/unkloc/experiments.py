@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bandwidth import BandwidthConfig, detect_bandwidth
+from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
 from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_field, reference_field
@@ -183,9 +183,15 @@ class ExperimentResult:
     slope_note: str | None = None
 
 
-# trial steps: each scores one trace (with readings if its mode acquires
-# them) and returns its mode's metrics in order.  They call the layer
-# functions through this module's globals, where a tracer can wrap them.
+# a trial is simulate, then its mode's step, which scores the trace and
+# returns the mode's metrics in order.  Both call the layer functions through
+# this module's globals, where a tracer can wrap them.
+
+
+def detect(config: ExperimentConfig, trace: SampleTrace) -> DetectionOutcome:
+    """The bandwidth detector on the trace's readings, as the config sets it."""
+    return detect_bandwidth(trace.readings, BandwidthConfig(
+        delta=config.delta, sigma2=config.noise.variance, n=trace.spec.n, b_max=config.b_max))
 
 
 def _distortion(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
@@ -197,8 +203,7 @@ def _detection(config: ExperimentConfig, truth: BandlimitedField, trace: SampleT
     """success, and its two halves: the stopping rule found truth.b, and
     the kept coefficients are exactly the truth's non-zero ones.  Both sides
     are conjugate-symmetric, so harmonics 0..b decide."""
-    outcome = detect_bandwidth(trace.readings, BandwidthConfig(
-        delta=config.delta, sigma2=config.noise.variance, n=trace.spec.n, b_max=config.b_max))
+    outcome = detect(config, trace)
     stop_ok = outcome.status == "Stopped" and outcome.detected_b == truth.b
     coeff_ok = all((outcome.kept(k) != 0) == (truth.coefficient(k) != 0) for k in range(truth.b + 1))
     return float(stop_ok and coeff_ok), float(stop_ok), float(coeff_ok)
@@ -235,6 +240,15 @@ MODES = tuple(_MODES)
 METRIC_SETS = {name: mode.metrics for name, mode in _MODES.items()}
 
 
+def simulate(config: ExperimentConfig, truth: BandlimitedField, n: int, seed: int) -> SampleTrace:
+    """The first half of a trial: the trace that seed draws at n, with
+    readings when the config's mode scores them."""
+    readings = _MODES[config.mode].readings
+    rngs = spawn_rngs(seed, 1 + readings)  # the noise stream only for readings
+    trace = generate_trace(config.renewal.at(n), rngs[0])
+    return acquire(trace, truth, config.noise, rngs[1]) if readings else trace
+
+
 def run_cell(config: ExperimentConfig, n: int, trial: int,
              truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
     """The seed of cell (n, trial) and its trial's metrics, which depend only
@@ -247,11 +261,7 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
     mode = _MODES[config.mode]
     seed = trial_seed(config.master_seed, n, trial)
     try:
-        rngs = spawn_rngs(seed, 1 + mode.readings)  # the noise stream only for readings
-        trace = generate_trace(config.renewal.at(n), rngs[0])
-        if mode.readings:
-            trace = acquire(trace, truth, config.noise, rngs[1])
-        return seed, dict(zip(mode.metrics, mode.step(config, truth, trace)))
+        return seed, dict(zip(mode.metrics, mode.step(config, truth, simulate(config, truth, n, seed))))
     except ConfigError:
         return seed, dict.fromkeys(mode.metrics, math.nan)
 

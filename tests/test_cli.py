@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 import unkloc
 from unkloc import cli, experiments, noise, sampling
 from unkloc.cli import EXIT_CAP, EXIT_FAULT, EXIT_OK, EXIT_USAGE, main
-from unkloc.experiments import load_rows_csv, run
+from unkloc.experiments import load_rows_csv, run, simulate
 from unkloc.field import BandlimitedField
-from unkloc.sampling import generate_trace
 
 
 @pytest.fixture
@@ -331,8 +330,8 @@ def test_sweep_missing_config_file(tmp_path, capsys):
 def test_scaled_beta_shape_flags_default_per_flag(paper2_file, sweep_config, tmp_path, monkeypatch):
     # unset --alpha/--beta keep the family default of 2, so lam = (alpha + 2) / alpha
     lams = []
-    monkeypatch.setattr(cli, "generate_trace",
-                        lambda spec, rng: lams.append(spec.law.lam) or generate_trace(spec, rng))
+    monkeypatch.setattr(cli, "simulate", lambda config, truth, n, seed: lams.append(config.renewal.lam)
+                        or simulate(config, truth, n, seed))
     monkeypatch.setattr(cli, "run", lambda config, workers: lams.append(config.renewal.lam)
                         or run(config))
     assert main(["estimate", "--field", str(paper2_file), "--n", "100",
@@ -792,6 +791,48 @@ def test_replay_rejects_off_grid_cell(sweep_config, capsys):
                  "--trial", "0"]) == EXIT_USAGE
     assert main(["replay", "--config", str(sweep_config), "--n", "200",
                  "--trial", "77"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, mode, flags", [
+    ("estimate", "DistortionSweep", []),
+    ("detect", "BandwidthCurve", ["--delta", "0.1", "--b-max", "16"]),
+])
+def test_a_rows_seed_makes_estimate_and_detect_print_that_cells_trial(paper2_file, tmp_path, capsys,
+                                                                      command, mode, flags):
+    # estimate and detect run the sweep's own trial (same streams, same
+    # detector settings), so --seed set to a row's seed prints that row's trial
+    config = tmp_path / "sweep.json"
+    record = {"mode": mode, "field": {"source": "file", "path": str(paper2_file)},
+              "renewal": {"family": "triangular"}, "noise": {"family": "uniform", "params": [1.0]},
+              "n_grid": [2000, 20000], "trials": 3, "master_seed": 11}
+    if mode == "BandwidthCurve":
+        record.update(delta=0.1, b_max=16)
+    config.write_text(json.dumps(record))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_OK
+    truth = BandlimitedField.load(paper2_file)
+    rows = load_rows_csv(tmp_path / "o" / "rows.csv")
+    successes = set()
+    for n, trial in {(rec["n"], rec["trial"]) for rec in rows}:
+        cell = {rec["metric"]: rec for rec in rows if rec["n"] == n and rec["trial"] == trial}
+        seed = {rec["seed"] for rec in cell.values()}.pop()
+        capsys.readouterr()
+        code = main([command, "--field", str(paper2_file), "--n", str(n), "--seed", str(seed),
+                     "--renewal", "triangular", "--noise", "uniform:1.0", *flags])
+        assert code in (EXIT_OK, EXIT_CAP)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == seed
+        if command == "estimate":
+            assert float(payload["distortion"]).hex() == cell["distortion"]["value"].hex()
+            continue
+        kept = payload["kept_coeffs"]
+        half = len(kept) // 2
+        stop_ok = payload["status"] == "Stopped" and payload["detected_b"] == truth.b
+        coeff_ok = all((half >= k and kept[half + k] != [0.0, 0.0]) == (truth.coefficient(k) != 0)
+                       for k in range(truth.b + 1))
+        assert [float(stop_ok and coeff_ok), float(stop_ok), float(coeff_ok)] == \
+            [cell[name]["value"] for name in ("success", "stop_check", "coeff_check")]
+        successes.add(stop_ok and coeff_ok)
+    assert mode == "DistortionSweep" or successes == {False, True}  # both outcomes are compared
 
 
 # pinned output ---------------------------------------------------------------

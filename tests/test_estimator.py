@@ -176,10 +176,10 @@ def test_leaf_sums_fold_to_np_sum(m):
     # the leaves tile [0, m) in order, and adding np.sum of each up the
     # tree is np.sum over all m: a numpy whose sum cuts differently fails here
     y = np.random.default_rng(m).normal(size=m)
-    leaves = list(estimator._leaves(0, m))
+    leaves = []
+    folded = estimator._pairwise(lambda lo, n: leaves.append((lo, n)) or np.sum(y[lo : lo + n]), 0, m)
     assert [lo for lo, _ in leaves] == [0, *np.cumsum([n for _, n in leaves])[:-1]]
     assert sum(n for _, n in leaves) == m and all(0 < n <= LEAF for _, n in leaves)
-    folded = estimator._fold((np.sum(y[lo : lo + n]) for lo, n in leaves), m)
     assert float(folded).hex() == float(np.sum(y)).hex()
 
 

@@ -15,3 +15,15 @@ def test_the_package_checks_with_raises_not_asserts():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {found}"
+
+
+def test_the_cli_runs_trials_only_through_experiments():
+    # estimate and detect are one sweep trial: experiments.simulate builds
+    # its streams, trace and readings, and experiments.detect sets the
+    # detector.  The CLI naming a layer function would be a second copy.
+    layers = {"spawn_rngs", "generate_trace", "acquire", "BandwidthConfig", "detect_bandwidth"}
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    named = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & layers, f"cli.py names {sorted(named & layers)}"
