@@ -36,6 +36,12 @@ def _check_readings(readings) -> np.ndarray:
     return y
 
 
+def _as_float(y: np.ndarray) -> np.ndarray:
+    """y in the type a float64 product gives it: integer readings are not
+    squared or summed in their own type, where they would wrap."""
+    return y.astype(np.promote_types(y.dtype, np.float64), copy=False)
+
+
 def _half(n: int) -> int:
     """Where np.sum's pairwise reduction cuts an n-point piece: at the
     middle, rounded down to a multiple of its 8-way unrolled blocks."""
@@ -57,9 +63,7 @@ def _leaf_sums(y: np.ndarray, lo: int, n: int) -> Iterator[np.ndarray]:
     the base vector at k = 1, and each later w is the last times the base.
     The base is built only once k = 1 is requested, so a k = 0 consumer
     never pays for the exponentials."""
-    leaf = y[lo : lo + n]
-    # as if multiplied by a float64 phase: an int vector would sum exactly
-    leaf = leaf.astype(np.promote_types(leaf.dtype, np.float64), copy=False)
+    leaf = _as_float(y[lo : lo + n])  # as if multiplied by a float64 phase
     add = np.add.reduce  # np.sum's own reduction, without its Python wrapper
     yield np.array([add(leaf), add(leaf * 0.0)])
     base = w = np.exp((-2j * np.pi / y.size) * np.arange(lo + 1, lo + n + 1))
@@ -102,7 +106,7 @@ def energy_estimate(readings, sigma2: float) -> float:
     Unbiased for the field energy; small traces can push it negative and
     the value is reported as-is (the detection stopping band tolerates it).
     """
-    y = _check_readings(readings)
+    y = _as_float(_check_readings(readings))
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
     return float(np.mean(y**2) - sigma2)

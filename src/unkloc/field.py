@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import whole
+from .errors import number, whole
 
 # Grid resolution for sup-norm checks.  8192 points resolve every harmonic
 # up to b = 64 with plenty of margin.
@@ -95,7 +95,8 @@ class BandlimitedField:
     def from_dict(cls, data: dict) -> "BandlimitedField":
         try:
             b = data["b"]
-            coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
+            coeffs = np.array([complex(number("field coefficient", re), number("field coefficient", im))
+                               for re, im in data["coeffs"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"field record must carry 'b' and 'coeffs' as [re, im] pairs: {exc}")
         field = cls(b=b, coeffs=coeffs)

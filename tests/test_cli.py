@@ -377,6 +377,14 @@ def test_field_files_that_are_not_conjugate_symmetric_exit_usage(sweep_config, t
     assert "conjugate-symmetric" in capsys.readouterr().err
 
 
+def test_field_files_with_boolean_coefficients_exit_usage(tmp_path, capsys):
+    # complex(True, False) is 1+0j; a JSON true is no coefficient
+    field = tmp_path / "bools.json"
+    field.write_text('{"b": 1, "coeffs": [[true, false], [true, false], [true, false]]}')
+    assert main(["estimate", "--field", str(field), "--n", "100"]) == EXIT_USAGE
+    assert "field coefficient must be a number, got True" in capsys.readouterr().err
+
+
 def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_path, capsys):
     # finite field energy 2e200, but an energy error near 1e200 squares past the largest double
     field = tmp_path / "big.json"

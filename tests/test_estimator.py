@@ -312,6 +312,18 @@ def test_energy_estimate_can_go_negative():
     assert energy_estimate(np.array([0.1]), 0.5) == pytest.approx(-0.49, abs=1e-15)
 
 
+@pytest.mark.parametrize("readings", [np.array([100, -100, 100], dtype=np.int8),
+                                      np.full(3, 3_037_000_500, dtype=np.int64)])
+def test_integer_readings_give_the_energy_and_detection_of_their_float_copy(readings):
+    # squared in their own type, int8 100 wraps to 16 and int64 3037000500
+    # past the largest int64, so the energy and with it the stop rule move
+    copy = readings.astype(np.float64)
+    assert energy_estimate(readings, 0.5) == energy_estimate(copy, 0.5) == float(np.mean(copy**2)) - 0.5
+    config = BandwidthConfig(delta=0.5, sigma2=0.0, n=100)
+    assert detect_bandwidth(readings, config).to_dict() == detect_bandwidth(copy, config).to_dict()
+    assert detect_bandwidth(readings, config).status == "Stopped"
+
+
 def test_energy_estimate_rejects_negative_variance():
     with pytest.raises(ValueError):
         energy_estimate(np.ones(4), -0.1)
