@@ -36,10 +36,19 @@ def test_rademacher_moments():
 
 
 def test_gaussian_moments():
-    spec = NoiseSpec("gaussian", (0.5,))
-    assert spec.variance == 0.25
-    assert spec.fourth_moment == pytest.approx(3 * 0.25**2, abs=1e-12)
-    assert spec.var_of_square == pytest.approx(2 * 0.25**2, abs=1e-12)
+    # the draws outside +-cut*sigma are redrawn, so the law and its moments
+    # are the truncated normal's; near the default cut they are close to
+    # the untruncated 0.25, 3 * 0.25**2 and 2 * 0.25**2
+    truncnorm = pytest.importorskip("scipy.stats").truncnorm
+    for params in [(0.5,), (0.5, 4.0), (0.5, 1.5), (1.0, 1.5)]:
+        spec = NoiseSpec("gaussian", params)
+        cut = params[1] if len(params) == 2 else DEFAULT_GAUSSIAN_CUT
+        law = truncnorm(-cut, cut, scale=params[0])
+        assert spec.variance == pytest.approx(law.var(), rel=1e-14, abs=0.0)
+        assert spec.fourth_moment == pytest.approx(law.moment(4), rel=1e-14, abs=0.0)
+        assert spec.var_of_square == pytest.approx(law.moment(4) - law.var() ** 2, rel=1e-13, abs=0.0)
+    assert NoiseSpec("gaussian", (0.5,)).variance == pytest.approx(0.25, rel=1e-7)
+    assert NoiseSpec("gaussian", (1.0, 1.5)).variance == 0.5515244157615512
 
 
 def test_zero_noise_moments():
