@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth
+from unkloc.errors import ConfigError
 from unkloc.estimator import estimate_field
 from unkloc.experiments import ExperimentConfig, FieldSource, run
 from unkloc.field import BandlimitedField, distortion, random_field, reference_field
@@ -45,25 +46,49 @@ def _decay_config(mode, **kw):
 PAPER1 = {0: 0.2445 + 0j, 1: -0.0357 + 0.0478j, 2: 0.0978 + 0.0729j, 3: -0.1796 - 0.0756j}
 
 
-def _distortion_constant(table, sigma2, v):
-    """First-order limit of n * E[distortion] when the field of table is
-    estimated over its own -b..b.  The noise adds (2b+1) sigma^2.  S_i - i/M
-    is to first order a Brownian bridge of variance t(1-t) v/n, v = Var(nX),
-    and its sine series adds v * sum_k sum_{m>=1} 2/(pi^2 m^2) *
-    |integral_0^1 g'(t) e^{-2 pi j k t} sin(pi m t) dt|^2.  The integrals are
-    taken by 2048-point Gauss-Legendre quadrature and the series is cut at
-    m = 400, where its tail is below 1e-9."""
+def _bridge_variance(h):
+    """Var of integral_0^1 h(t) B(t) dt for a Brownian bridge B of variance
+    t(1-t): sum_{m>=1} 2/(pi^2 m^2) |integral_0^1 h(t) sin(pi m t) dt|^2, from
+    the sine series of B.  The integrals are taken by 2048-point
+    Gauss-Legendre quadrature and the series is cut at m = 400, where its
+    tail is below 1e-9."""
+    t, weights = np.polynomial.legendre.leggauss(2048)
+    t, weights = (t + 1.0) / 2.0, weights / 2.0
+    m = np.arange(1, 401)
+    sines = np.sin(np.pi * np.outer(m, t))
+    return float(np.sum(2.0 / (np.pi * m) ** 2 * np.abs(sines @ (weights * h(t))) ** 2))
+
+
+def _field_and_slope(table, t):
+    """g(t) and g'(t) for the real field of table."""
     b = max(table)
     ks = np.arange(-b, b + 1)
     coeffs = np.array([table[k] if k >= 0 else np.conj(table[-k]) for k in ks])
-    t, weights = np.polynomial.legendre.leggauss(2048)
-    t, weights = (t + 1.0) / 2.0, weights / 2.0
-    slope = (2j * np.pi * ks * coeffs) @ np.exp(2j * np.pi * np.outer(ks, t))  # g'(t)
-    m = np.arange(1, 401)
-    sines = np.sin(np.pi * np.outer(m, t))
-    location = sum(np.sum(2.0 / (np.pi * m) ** 2 * np.abs(sines @ (weights * slope * np.exp(-2j * np.pi * k * t))) ** 2)
-                   for k in ks)
+    waves = np.exp(2j * np.pi * np.outer(ks, t))
+    return (coeffs @ waves).real, ((2j * np.pi * ks * coeffs) @ waves).real
+
+
+# S_i - i/M is to first order a Brownian bridge of variance t(1-t) v/n, with
+# v = Var(nX); each constant below adds v times a bridge variance to the noise
+
+
+def _distortion_constant(table, sigma2, v):
+    """First-order limit of n * E[distortion] when the field of table is
+    estimated over its own -b..b.  The noise adds (2b+1) sigma^2, and the
+    locations the bridge variance of g'(t) e^{-2 pi j k t} for each k."""
+    b = max(table)
+    location = sum(_bridge_variance(lambda t: _field_and_slope(table, t)[1] * np.exp(-2j * np.pi * k * t))
+                   for k in range(-b, b + 1))
     return (2 * b + 1) * sigma2 + v * location
+
+
+def _energy_constant(table, sigma2, var_w2, v):
+    """First-order limit of n * E[(e_hat - E)^2] for the energy estimate
+    e_hat = mean(y^2) - sigma^2.  The noise adds Var(W^2) + 4 sigma^2 E, and
+    the locations the bridge variance of (g^2)'(t) = 2 g(t) g'(t)."""
+    energy = sum(abs(c) ** 2 * (1 if k == 0 else 2) for k, c in table.items())
+    location = _bridge_variance(lambda t: 2.0 * np.prod(_field_and_slope(table, t), axis=0))
+    return var_w2 + 4.0 * sigma2 * energy + v * location
 
 
 def test_distortion_decays_like_one_over_n():
@@ -103,11 +128,18 @@ def test_distortion_rate_holds_across_renewal_families():
 def test_energy_estimate_mse_decays_like_one_over_n():
     result = run(_decay_config("EnergyMSE"), WORKERS)
     slope = result.slope.slope
-    ok = RATE_WINDOW[0] < slope < RATE_WINDOW[1]
+    # uniform noise on [-1, 1]: sigma^2 = 1/3, Var(W^2) = 1/5 - 1/9 = 4/45;
+    # uniform spacings: v = 1/3
+    predicted = _energy_constant(PAPER1, sigma2=1 / 3, var_w2=4 / 45, v=1 / 3)
+    largest = [row for row in result.summary if row.metric == "energy_sq_error"][-1]
+    scaled = largest.n * largest.mean
+    constant_ok = abs(scaled - predicted) <= 4 * largest.n * largest.stderr
+    ok = RATE_WINDOW[0] < slope < RATE_WINDOW[1] and constant_ok
     _report(
         "energy estimate MSE rate",
         ok,
-        f"slope={slope:.4f} ci=[{result.slope.ci_low:.4f}, {result.slope.ci_high:.4f}]",
+        f"slope={slope:.4f} ci=[{result.slope.ci_low:.4f}, {result.slope.ci_high:.4f}]; "
+        f"n*mean={scaled:.4f} +- {largest.n * largest.stderr:.4f} at n={largest.n}, predicted {predicted:.4f}",
     )
 
 
@@ -238,7 +270,7 @@ def test_detection_runs_just_past_the_threshold_boundary():
     try:
         BandwidthConfig(delta=0.1, sigma2=0.0, n=1000).validate_runnable()
         boundary_rejected = False
-    except Exception:
+    except ConfigError:
         boundary_rejected = True
     readings = np.zeros(1001)
     out = detect_bandwidth(readings, BandwidthConfig(delta=0.1, sigma2=0.0, n=1001))
