@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, density, number, whole
 from .estimator import _check_readings, energy_estimate, harmonics
+from .field import BandlimitedField
 
 
 @dataclass(frozen=True)
@@ -65,32 +64,23 @@ def threshold_coefficient(value: complex, config: BandwidthConfig) -> complex:
 class DetectionOutcome:
     """Result of one detection run.
 
-    kept_coeffs covers k = -B..B for the final B reached (the stopping B,
-    or b_max when the cap was hit); stop_residual is the signed gap
-    sum |kept|^2 - E_g at that point.
+    kept is the thresholded estimate over k = -B..B for the final B reached
+    (the stopping B, or b_max when the cap was hit); stop_residual is the
+    signed gap sum |kept|^2 - E_g at that point.
     """
 
-    status: str  # "Stopped" | "CapReached"
-    detected_b: int | None
-    kept_coeffs: np.ndarray
+    detected_b: int | None  # None when the cap was hit
+    kept: BandlimitedField
     energy_est: float
     stop_residual: float
 
-    def __post_init__(self) -> None:
-        c = np.array(self.kept_coeffs, dtype=complex)
-        c.setflags(write=False)
-        object.__setattr__(self, "kept_coeffs", c)
+    @property
+    def status(self) -> str:
+        return "CapReached" if self.detected_b is None else "Stopped"
 
     @property
     def b_scanned(self) -> int:
-        return int(self.kept_coeffs.size // 2)
-
-    def kept(self, k: int) -> complex:
-        """Thresholded coefficient at k (zero outside the scanned range)."""
-        half = self.b_scanned
-        if abs(k) > half:
-            return 0j
-        return complex(self.kept_coeffs[half + k])
+        return self.kept.b
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +88,7 @@ class DetectionOutcome:
             "detected_b": self.detected_b,
             "energy_estimate": self.energy_est,
             "stop_residual": self.stop_residual,
-            "kept_coeffs": [[float(c.real), float(c.imag)] for c in self.kept_coeffs],
+            "kept_coeffs": self.kept.to_dict()["coeffs"],
         }
 
 
@@ -109,9 +99,9 @@ def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:
     e_g = energy_estimate(y, config.sigma2)
     band = config.band
 
-    kept: list[complex] = []  # k = 0..B; k = -B..-1 are their conjugates
+    kept: list[complex] = []  # k = 0..B
     total = 0.0
-    status, detected_b = "CapReached", None
+    detected_b = None
     # zip pulls from the range first, so no harmonic past b_max is projected
     for scan_b, a in zip(range(config.b_max + 1), harmonics(y)):
         c = threshold_coefficient(a, config)
@@ -119,13 +109,7 @@ def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:
         # |A[-B]| == |A[B]|: harmonics B and -B add the same energy
         total += abs(c) ** 2 if scan_b == 0 else 2.0 * abs(c) ** 2
         if -band <= total - e_g <= band:
-            status, detected_b = "Stopped", scan_b
+            detected_b = scan_b
             break
-    return DetectionOutcome(
-        status=status,
-        detected_b=detected_b,
-        # a zeroed entry stays 0j: its conjugate would be -0j
-        kept_coeffs=[c.conjugate() if c else 0j for c in kept[:0:-1]] + kept,
-        energy_est=e_g,
-        stop_residual=total - e_g,
-    )
+    return DetectionOutcome(detected_b=detected_b, kept=BandlimitedField.from_half(kept),
+                            energy_est=e_g, stop_residual=total - e_g)

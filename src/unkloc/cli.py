@@ -104,7 +104,7 @@ def cmd_estimate(args) -> int:
         "m": trace.m,
         "seed": args.seed,
         "b": b,
-        "coefficients": [[float(c.real), float(c.imag)] for c in est.coeffs],
+        "coefficients": est.to_dict()["coeffs"],
         "distortion": distortion(truth, est),
     }
     _emit(payload, args.out)

@@ -88,16 +88,15 @@ def harmonics(y: np.ndarray) -> Iterator[complex]:
 
 
 def estimate_field(readings, b: int) -> BandlimitedField:
-    """Estimated field over harmonics -b..b: A[0..b] projected, and their
-    conjugates mirrored onto -b..-1.  Each leaf gives all b+1 of its sum
-    pairs before the next leaf starts."""
+    """Estimated field over harmonics -b..b: A[0..b] projected, and
+    mirrored onto -b..-1 by ``BandlimitedField.from_half``.  Each leaf gives
+    all b+1 of its sum pairs before the next leaf starts."""
     y = _check_readings(readings)
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
     m = y.size
     sums = _pairwise(lambda lo, n: np.array(list(islice(_leaf_sums(y, lo, n), b + 1))), 0, m)
-    a = [_average(pair, m) for pair in sums]
-    return BandlimitedField(b=b, coeffs=[*(c.conjugate() for c in a[:0:-1]), *a])
+    return BandlimitedField.from_half(_average(pair, m) for pair in sums)
 
 
 def energy_estimate(readings, sigma2: float) -> float:

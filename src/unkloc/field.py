@@ -47,6 +47,15 @@ class BandlimitedField:
         if not np.array_equal(c[::-1], np.conj(c)):
             raise ValueError("field coefficients must be conjugate-symmetric, a[-k] == conj(a[k])")
 
+    @classmethod
+    def from_half(cls, half) -> "BandlimitedField":
+        """The real field whose coefficients for k = 0..b are half, with b =
+        len(half) - 1: k = -b..-1 read their conjugates, and a zero reads +0j
+        there (its conjugate would be -0j).  The one conjugate mirror."""
+        half = list(half)
+        mirror = [c.conjugate() if c else 0j for c in half[:0:-1]]
+        return cls(b=len(half) - 1, coeffs=mirror + half)
+
     def coefficient(self, k: int) -> complex:
         """a[k], with harmonics outside -b..b read as zero."""
         if abs(k) > self.b:
@@ -132,17 +141,14 @@ def random_field(b: int, seed: int) -> BandlimitedField:
     conj(a[k]).  All coefficients are then scaled by 1/max(1, sup|g|) so the
     dynamic range stays within [-1, 1].
     """
+    b = whole("bandwidth b", b, 0)
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    coeffs = np.zeros(2 * b + 1, dtype=complex)
-    coeffs[b] = rng.uniform(-1.0, 1.0)
-    for k in range(1, b + 1):
-        re, im = rng.uniform(-1.0, 1.0, size=2)
-        coeffs[b + k] = complex(re, im)
-        coeffs[b - k] = complex(re, -im)
-    field = BandlimitedField(b=b, coeffs=coeffs)
+    half = [rng.uniform(-1.0, 1.0)]  # a[0], then (Re, Im) of each a[k]
+    half += [complex(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(b)]
+    field = BandlimitedField.from_half(half)
     peak = field.dynamic_range()
     if peak > 1.0:
-        field = BandlimitedField(b=b, coeffs=coeffs / peak)
+        field = BandlimitedField(b=b, coeffs=field.coeffs / peak)
     return field
 
 
@@ -160,9 +166,4 @@ def reference_field(name: str) -> BandlimitedField:
         table = REFERENCE_COEFFS[name]
     except KeyError:
         raise ValueError(f"unknown reference field {name!r}; choose from {sorted(REFERENCE_COEFFS)}")
-    b = max(table)
-    coeffs = np.zeros(2 * b + 1, dtype=complex)
-    for k, v in table.items():
-        coeffs[b + k] = v
-        coeffs[b - k] = np.conj(v)
-    return BandlimitedField(b=b, coeffs=coeffs)
+    return BandlimitedField.from_half([table.get(k, 0j) for k in range(max(table) + 1)])

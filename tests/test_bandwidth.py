@@ -15,7 +15,7 @@ from unkloc.bandwidth import (
     threshold_coefficient,
 )
 from unkloc.errors import ConfigError
-from unkloc.field import BandlimitedField, reference_field
+from unkloc.field import BandlimitedField, distortion, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
@@ -115,7 +115,7 @@ def test_detects_constant_field():
     out = detect_bandwidth(_clean_readings(field), _config(sigma2=0.0, n=2000))
     assert out.status == "Stopped"
     assert out.detected_b == 0
-    assert out.kept(0) == pytest.approx(0.5 + 0j, abs=1e-12)
+    assert out.kept.coefficient(0) == pytest.approx(0.5 + 0j, abs=1e-12)
     assert abs(out.stop_residual) <= out.energy_est * 1e-10 + 1e-12
 
 
@@ -148,7 +148,7 @@ def test_noiseless_detection_recovers_support_exactly(support):
     assert out.detected_b == b
     for k in range(-b, b + 1):
         truth_zero = field.coefficient(k) == 0
-        assert (out.kept(k) == 0) == truth_zero, k
+        assert (out.kept.coefficient(k) == 0) == truth_zero, k
 
 
 def test_cap_reached_when_energy_is_overstated():
@@ -159,7 +159,7 @@ def test_cap_reached_when_energy_is_overstated():
     assert out.status == "CapReached"
     assert out.detected_b is None
     assert out.b_scanned == 64
-    assert out.kept_coeffs.size == 2 * 64 + 1
+    assert out.kept.coeffs.size == 2 * 64 + 1
 
 
 def test_cap_respects_custom_b_max():
@@ -184,7 +184,7 @@ def test_each_scanned_harmonic_is_thresholded_once(monkeypatch, b_max, status, z
     out = detect_bandwidth(_clean_readings(reference_field("paper2")), _config(sigma2=0.0, n=2000, b_max=b_max))
     assert out.status == status
     assert len(calls) == out.b_scanned + 1
-    zeros = [c for c in out.kept_coeffs if c == 0]
+    zeros = [c for c in out.kept.coeffs if c == 0]
     assert len(zeros) == zeroed  # k = 2..min(b_max, 11) on each half
     assert {(c.real.hex(), c.imag.hex()) for c in zeros} == {((0.0).hex(), (0.0).hex())}
 
@@ -237,7 +237,7 @@ def test_false_keep_rate_shrinks_with_n():
                 bad = [
                     k
                     for k in range(-out.detected_b, out.detected_b + 1)
-                    if out.kept(k) != 0 and field.coefficient(k) == 0
+                    if out.kept.coefficient(k) != 0 and field.coefficient(k) == 0
                 ]
                 false_keep += bool(bad)
         rates.append(false_keep / trials)
@@ -255,7 +255,7 @@ def test_outcome_round_trip():
     again = json.loads(json.dumps(out.to_dict()))
     assert again["status"] == out.status
     assert again["detected_b"] == out.detected_b
-    assert np.array_equal([complex(re, im) for re, im in again["kept_coeffs"]], out.kept_coeffs)
+    assert np.array_equal([complex(re, im) for re, im in again["kept_coeffs"]], out.kept.coeffs)
     assert again["energy_estimate"] == out.energy_est
     assert again["stop_residual"] == out.stop_residual
 
@@ -263,8 +263,20 @@ def test_outcome_round_trip():
 def test_outcome_kept_indexing():
     field = reference_field("paper2")
     out = detect_bandwidth(_clean_readings(field), _config(sigma2=0.0, n=2000))
-    assert out.kept(12) == pytest.approx(0.1, abs=1e-10)
-    assert out.kept(-12) == out.kept(12).conjugate()
+    assert out.kept.coefficient(12) == pytest.approx(0.1, abs=1e-10)
+    assert out.kept.coefficient(-12) == out.kept.coefficient(12).conjugate()
     # outside the scanned range is zero, same convention as field coefficients
-    assert out.kept(13) == 0j
-    assert out.kept(-99) == 0j
+    assert out.kept.coefficient(13) == 0j
+    assert out.kept.coefficient(-99) == 0j
+
+
+@pytest.mark.parametrize("b_max, status", [(2, "CapReached"), (64, "Stopped")])
+def test_the_kept_field_scores_against_the_truth(b_max, status):
+    # kept is a field: distortion takes it as it takes an estimate, and the
+    # status and scanned range follow from detected_b and kept
+    field = reference_field("paper2")
+    out = detect_bandwidth(_clean_readings(field), _config(sigma2=0.0, n=2000, b_max=b_max))
+    assert out.status == status
+    assert (out.detected_b is None) == (status == "CapReached")
+    assert out.b_scanned == out.kept.b == (b_max if out.detected_b is None else out.detected_b)
+    assert distortion(field, out.kept) == pytest.approx(0.0 if b_max == 64 else 0.02, abs=1e-10)  # paper2 lacks 0.1 at k = +-12

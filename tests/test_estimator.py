@@ -108,7 +108,12 @@ def test_coefficient_is_the_scan_entry_bit_for_bit(seed, m, k):
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = np.round(rng.uniform(-1.0, 1.0, size=m), int(rng.integers(0, 3)))  # exact zeros too
     a = next(islice(harmonics(y), abs(k), None))
-    assert _bits(coefficient(y, k)) == _bits(a if k >= 0 else a.conjugate())
+    assert _bits(coefficient(y, k)) == _bits(a if k >= 0 else a.conjugate() if a else 0j)
+
+
+def test_an_exactly_zero_estimate_reads_plus_zero_on_both_halves():
+    # the conjugate of 0j would be -0j; a field built from its half mirrors a zero as +0j
+    assert {_bits(c) for c in estimate_field(np.zeros(5), 2).coeffs} == {_bits(0j)}
 
 
 # leaf kernel -----------------------------------------------------------------
@@ -237,7 +242,7 @@ def test_detection_keeps_the_thresholded_field_estimate_bit_for_bit(b_max):
     assert outcome.status == ("CapReached" if b_max == 2 else "Stopped")
     est = estimate_field(y, outcome.b_scanned)
     expected = np.array([threshold_coefficient(c, config) for c in est.coeffs])
-    assert outcome.kept_coeffs.tobytes() == expected.tobytes()
+    assert outcome.kept.coeffs.tobytes() == expected.tobytes()
 
 
 # grid exactness --------------------------------------------------------------

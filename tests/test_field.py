@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unkloc
+from unkloc.errors import ConfigError
 from unkloc.field import (
     DENSE_GRID,
     EVAL_BLOCK,
@@ -318,6 +319,22 @@ def test_random_field_is_conjugate_symmetric():
     f = random_field(7, 99)
     assert np.array_equal(f.coeffs[::-1], np.conj(f.coeffs))
     assert f.coefficient(0).imag == 0.0
+
+
+@pytest.mark.parametrize("b", [-1, 2.5, True])
+def test_random_field_refuses_a_bandwidth_that_is_no_whole_number(b):
+    with pytest.raises(ConfigError, match="bandwidth b"):
+        random_field(b, 5)
+
+
+def test_from_half_mirrors_the_upper_half():
+    f = BandlimitedField.from_half([0.5, 0.25 - 0.5j, 0j])
+    assert f.b == 2
+    assert f.coeffs.tolist() == [0j, 0.25 + 0.5j, 0.5 + 0j, 0.25 - 0.5j, 0j]
+    # a zero mirrors as +0j, not as its conjugate -0j
+    assert [c.imag.hex() for c in BandlimitedField.from_half([1.0, 0j]).coeffs] == [(0.0).hex()] * 3
+    with pytest.raises(ConfigError, match="bandwidth b"):
+        BandlimitedField.from_half([])
 
 
 def test_random_field_degenerate_bandwidth():

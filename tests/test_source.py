@@ -27,3 +27,14 @@ def test_the_cli_runs_trials_only_through_experiments():
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not named & layers, f"cli.py names {sorted(named & layers)}"
+
+
+def test_only_the_field_mirrors_conjugates():
+    # BandlimitedField.from_half is the one conjugate mirror, so a zero
+    # mirrors to +0j by one rule wherever a field is built from its half
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "field.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("conj", "conjugate")]
+    assert not found, f"conjugates taken in {found}"
