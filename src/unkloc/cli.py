@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .estimator import estimate_field
 from .experiments import (
     ExperimentConfig,
     FieldSource,
     detect,
+    estimate,
     load_record,
     load_rows_csv,
     run,
@@ -97,13 +97,12 @@ def _simulated_readings(args, mode: str, **entries):
 
 def cmd_estimate(args) -> int:
     config, truth, trace = _simulated_readings(args, "DistortionSweep", known_b=args.b)
-    b = truth.b if config.known_b is None else config.known_b
-    est = estimate_field(trace.readings, b)
+    est = estimate(config, truth, trace)
     payload = {
         "n": args.n,
         "m": trace.m,
         "seed": args.seed,
-        "b": b,
+        "b": est.b,
         "coefficients": est.to_dict()["coeffs"],
         "distortion": distortion(truth, est),
     }

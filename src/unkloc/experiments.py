@@ -194,9 +194,14 @@ def detect(config: ExperimentConfig, trace: SampleTrace) -> DetectionOutcome:
         delta=config.delta, sigma2=config.noise.variance, n=trace.spec.n, b_max=config.b_max))
 
 
+def estimate(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> BandlimitedField:
+    """The field estimate from the trace's readings at the config's known_b,
+    or at the truth's b when the config sets none."""
+    return estimate_field(trace.readings, truth.b if config.known_b is None else config.known_b)
+
+
 def _distortion(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
-    b = truth.b if config.known_b is None else config.known_b
-    return (distortion(truth, estimate_field(trace.readings, b)),)
+    return (distortion(truth, estimate(config, truth, trace)),)
 
 
 def _detection(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float, ...]:

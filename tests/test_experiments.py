@@ -449,6 +449,14 @@ def test_grid_deviation_mode_skips_acquisition():
         assert 0.0 <= row.value < 1.0
 
 
+@pytest.mark.parametrize("known_b, b", [(None, 3), (5, 5), (0, 0)])
+def test_estimate_reads_known_b_and_defaults_to_the_truths(known_b, b):
+    cfg = _config(known_b=known_b)
+    truth = cfg.field_source.resolve()
+    est = experiments.estimate(cfg, truth, experiments.simulate(cfg, truth, 400, 7))
+    assert est.b == b
+
+
 def test_known_b_override_widens_the_estimate():
     cfg = _config(known_b=5, trials=2, n_grid=(500, 1000, 2000))
     result = run(cfg)

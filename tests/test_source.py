@@ -19,9 +19,10 @@ def test_the_package_checks_with_raises_not_asserts():
 
 def test_the_cli_runs_trials_only_through_experiments():
     # estimate and detect are one sweep trial: experiments.simulate builds
-    # its streams, trace and readings, and experiments.detect sets the
-    # detector.  The CLI naming a layer function would be a second copy.
-    layers = {"spawn_rngs", "generate_trace", "acquire", "BandwidthConfig", "detect_bandwidth"}
+    # its streams, trace and readings, experiments.estimate picks the
+    # bandwidth and experiments.detect sets the detector.  The CLI naming a layer function would be a second copy.
+    layers = {"spawn_rngs", "generate_trace", "acquire", "BandwidthConfig", "detect_bandwidth",
+              "estimate_field"}
     tree = ast.parse((SOURCE / "cli.py").read_text())
     named = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
