@@ -363,7 +363,7 @@ def fit_loglog_slope(points) -> SlopeFit:
     bad = [n for n, mean in pts if not (n > 0 and 0 < mean < math.inf)]
     if bad:
         raise ValueError(f"slope fit needs positive n and positive, finite means; offending n: {bad}")
-    x = np.log(ns)
+    x = np.log(np.asarray(ns, dtype=float))  # an int past int64 would make an object array
     y = np.log([mean for _, mean in pts])
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))

@@ -89,6 +89,12 @@ def test_slope_rejects_nonpositive_means():
         fit_loglog_slope([(0, 1.0), (10, 0.5), (100, 0.2)])
 
 
+def test_slope_fit_takes_n_past_int64():
+    # np.log of ints past 2**63 would see an object array and raise TypeError
+    fit = fit_loglog_slope([(10**20, 1.0), (10**21, 0.5), (10**22, 0.25)])
+    assert fit.slope == pytest.approx(math.log(0.5) / math.log(10), rel=1e-12)
+
+
 def test_slope_rejects_short_input():
     with pytest.raises(ValueError, match="3"):
         fit_loglog_slope([(100, 1.0), (200, 0.5)])
