@@ -51,6 +51,17 @@ def test_gaussian_moments():
     assert NoiseSpec("gaussian", (1.0, 1.5)).variance == 0.5515244157615512
 
 
+def test_gaussian_moments_at_small_cuts():
+    # below a cut of 1 the closed forms cancel; the series keeps every digit
+    c = 1e-3
+    spec = NoiseSpec("gaussian", (1.0, c))
+    assert spec.variance == pytest.approx(c**2 / 3 - 2 * c**4 / 45, rel=1e-12, abs=0.0)
+    assert spec.fourth_moment == pytest.approx(c**4 / 5 * (1 - 4 * c**2 / 21), rel=1e-12, abs=0.0)
+    for c in (1e-300, 1e-8):
+        spec = NoiseSpec("gaussian", (1.0, c))
+        assert spec.variance >= 0.0 and spec.fourth_moment >= 0.0
+
+
 def test_zero_noise_moments():
     spec = NoiseSpec("zero")
     assert (spec.variance, spec.fourth_moment, spec.var_of_square) == (0.0, 0.0, 0.0)
