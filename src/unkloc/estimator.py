@@ -5,11 +5,13 @@ k is the average of y_i exp(-j 2 pi k i / M) over i = 1..M, as if the
 samples sat on the uniform grid i/M.  Readings are real, as the field is.
 Every projection comes from one kernel, ``_leaf_sums``.  np.sum adds an
 M-point vector along a tree of halvings; on one leaf of that tree the kernel
-steps the phase vector exp(-j 2 pi k i / M) by repeated multiplication (no
-FFT) and takes its two real sums.  Adding the leaf sums up the same tree
-gives the bits of np.sum over all M points, so results stay bit-identical
-across BLAS threading settings (replay determinism), and every temporary is
-leaf-sized.  Only k >= 0 is projected: A[-k] is the conjugate of A[k].
+builds the base phase exp(-j 2 pi i / M) with ``field.phase`` (cos and sin
+written into one complex vector, the bits of np.exp), steps it to
+exp(-j 2 pi k i / M) by repeated multiplication (no FFT) and takes its two
+real sums.  Adding the leaf sums up the same tree gives the bits of np.sum
+over all M points, so results stay bit-identical across BLAS threading
+settings (replay determinism), and every temporary is leaf-sized.  Only
+k >= 0 is projected: A[-k] is the conjugate of A[k].
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .field import BandlimitedField
+from .field import BandlimitedField, phase
 
 # Most points on one leaf.  np.sum halves a piece until it holds at most 128
 # points, so any LEAF of 128 or more cuts the same tree.  A leaf's complex
@@ -66,7 +68,7 @@ def _leaf_sums(y: np.ndarray, lo: int, n: int) -> Iterator[np.ndarray]:
     leaf = _as_float(y[lo : lo + n])  # as if multiplied by a float64 phase
     add = np.add.reduce  # np.sum's own reduction, without its Python wrapper
     yield np.array([add(leaf), add(leaf * 0.0)])
-    base = w = np.exp((-2j * np.pi / y.size) * np.arange(lo + 1, lo + n + 1))
+    base = w = phase((-2.0 * np.pi / y.size) * np.arange(lo + 1, lo + n + 1))
     while True:
         yield np.array([add(leaf * w.real), add(leaf * w.imag)])
         w = w * base

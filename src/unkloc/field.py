@@ -25,6 +25,17 @@ DENSE_GRID = 8192
 EVAL_BLOCK = 4096
 
 
+def phase(theta: np.ndarray) -> np.ndarray:
+    """exp(j theta) for a real array theta, written as cos theta and sin theta
+    straight into the two parts of one complex vector.  These are the bits
+    of np.exp at +0 + j theta, as libm's exp, cos and sin round alike there.
+    The one place the package builds a unit phase."""
+    w = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=w.real)
+    np.sin(theta, out=w.imag)
+    return w
+
+
 @dataclass(frozen=True)
 class BandlimitedField:
     """Coefficient vector ``coeffs`` ordered k = -b..b, finite and
@@ -73,14 +84,20 @@ class BandlimitedField:
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        out = np.full(flat.size, self.coeffs[self.b].real)
+        a0 = self.coeffs[self.b].real
+        # A zero a[k] adds +-0.0, which moves no value but -0.0.  A value is
+        # -0.0 only while a[0] and every term so far are, so zero harmonics
+        # are skipped unless a[0] is -0.0; e^k still steps through each k.
+        add_zeros = a0 == 0.0 and np.signbit(a0)
+        out = np.full(flat.size, a0)
         for lo in range(0, flat.size, EVAL_BLOCK):
-            e1 = np.exp(2j * np.pi * flat[lo : lo + EVAL_BLOCK])
+            e1 = phase((2.0 * np.pi) * flat[lo : lo + EVAL_BLOCK])
             val = out[lo : lo + EVAL_BLOCK]
             ek = np.ones_like(e1)
-            for k in range(1, self.b + 1):
+            for c in self.coeffs[self.b + 1 :]:
                 ek = ek * e1  # a fresh product: written into ek, a 1-point block rounds differently
-                val += 2.0 * (self.coeffs[self.b + k] * ek).real
+                if c or add_zeros:
+                    val += 2.0 * (c * ek).real
         return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     def dynamic_range(self) -> float:

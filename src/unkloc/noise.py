@@ -58,16 +58,16 @@ def _gaussian(spec: "NoiseSpec", rng: np.random.Generator, size: int) -> np.ndar
 
 
 def _gaussian_moments(params: tuple[float, ...]) -> tuple[float, float]:
-    """Var and E[W^4] of N(0, sigma^2) cut at +-c sigma.  From c = 1 up they
-    are sigma^2 (1 - 2t) and sigma^4 (3 - 6t - 2c^2 t), with t = c phi(c) / Z,
+    """Var and E[W^4] of N(0, sigma^2) cut at +-c sigma.  From c = 1.5 up
+    they are sigma^2 (1 - 2t) and sigma^4 (3 - 6t - 2c^2 t), with t = c phi(c) / Z,
     phi the standard normal density and Z = erf(c / sqrt 2) the mass kept;
     t is 0 once phi(c) underflows, where both are the untruncated moments.
-    Below c = 1 those forms lose their digits to cancellation, so the moments
+    Below c = 1.5 those forms lose digits to cancellation, so the moments
     are sigma^2 c^2 S_1 / S_0 and sigma^4 c^4 S_2 / S_0, where
     S_p = sum_{j<24} (-c^2/2)^j / (j! (2j + 2p + 1)) is the power series of
     the integral of u^2p exp(-c^2 u^2 / 2) over u in [0, 1]."""
     sigma, c = params[0], _cut(params)
-    if c < 1.0:
+    if c < 1.5:
         s = [sum((-0.5 * c * c) ** j / (math.factorial(j) * (2 * j + 2 * p + 1)) for j in range(24))
              for p in range(3)]
         return sigma**2 * (c * c * s[1] / s[0]), sigma**4 * (c**4 * s[2] / s[0])

@@ -8,6 +8,7 @@ main Monte Carlo results end to end from fixed seeds.
 import os
 
 import numpy as np
+from scipy.stats import binom, norm
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth
 from unkloc.errors import ConfigError
@@ -155,13 +156,24 @@ def test_detection_success_rises_to_certainty():
         delta=0.1,
     )
     result = run(config, WORKERS)
-    success = [row.mean for row in result.summary if row.metric == "success"]
+    rows = [row for row in result.summary if row.metric == "success"]
+    success = [row.mean for row in rows]
     monotone = all(a <= b for a, b in zip(success, success[1:]))
-    ok = monotone and success[-1] >= 0.9
+    # A detection succeeds when the energy estimate lands within delta^2/2 of
+    # the kept energy; its error has sd sqrt(Var(W^2)/n), and Var(W^2) = 4/45
+    # for uniform noise on [-1, 1], so P = 2 Phi((delta^2/2) / sd) - 1:
+    # 0.764, 0.906, 0.982 and 0.9998 here.  Each count must sit inside the
+    # two-sided exact binomial tail at 1e-4.
+    model = [2.0 * norm.cdf(0.5 * config.delta**2 / np.sqrt(4.0 / 45.0 / row.n)) - 1.0 for row in rows]
+    hits = [round(row.mean * row.count) for row in rows]
+    tails = [min(1.0, 2.0 * min(binom.cdf(k, row.count, p), binom.sf(k - 1, row.count, p)))
+             for k, row, p in zip(hits, rows, model)]
+    ok = monotone and success[-1] >= 0.9 and min(tails) >= 1e-4
     _report(
         "bandwidth detection success curve",
         ok,
-        "success=" + "/".join(f"{s:.2f}" for s in success) + f" at n={list(config.n_grid)}",
+        "success=" + "/".join(f"{s:.2f}" for s in success) + f" at n={list(config.n_grid)}, model="
+        + "/".join(f"{p:.4f}" for p in model) + ", tail p=" + "/".join(f"{t:.3g}" for t in tails),
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ def test_reference_detection_under_noise():
         )
         hits += out.status == "Stopped" and out.detected_b == 12
     assert hits == 5
+
+
+def test_detection_peak_memory_stays_leaf_sized():
+    # every leaf's generator lives through the scan with its base and current
+    # phase; a real theta kept beside them would read about 42 bytes per reading
+    n = 50_000
+    trace_rng, noise_rng = spawn_rngs(trial_seed(2026, n, 0))
+    trace = generate_trace(RenewalSpec.uniform(n), trace_rng)
+    readings = acquire(trace, reference_field("paper2"), NoiseSpec.uniform_sym(1.0), noise_rng).readings
+    tracemalloc.start()
+    try:
+        out = detect_bandwidth(readings, BandwidthConfig(delta=0.1, sigma2=1.0 / 3.0, n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.detected_b == 12
+    assert peak <= 38 * readings.size
 
 
 def test_false_keep_rate_shrinks_with_n():

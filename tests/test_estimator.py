@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
 from unkloc import estimator
 from unkloc.estimator import LEAF, energy_estimate, estimate_field, harmonics
-from unkloc.field import random_field, reference_field
+from unkloc.field import phase, random_field, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
@@ -148,6 +148,26 @@ _READINGS = {
     "infinities": _with_infinities,
 }
 _LEAF_EDGE_SIZES = [1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8, 65537, 99991, 100000]
+
+
+def _complex_hexes(w):
+    return [(z.real.hex(), z.imag.hex()) for z in np.asarray(w).tolist()]
+
+
+def test_rows_follow_libm_sin_and_cos_through_the_phase_builder():
+    # field.phase writes cos and sin where evaluate and the leaf kernel took
+    # np.exp of a complex argument with real part +0; rows keep their bits
+    # only while libm's exp, cos and sin round those phases alike
+    x = np.concatenate([np.random.default_rng(3).random(100_000), [0.0, 0.5, 1.0]])
+    assert _complex_hexes(phase((2.0 * np.pi) * x)) == _complex_hexes(np.exp(2j * np.pi * x))
+    for m in _LEAF_EDGE_SIZES:
+        i = np.arange(1, m + 1)
+        assert _complex_hexes(phase((-2.0 * np.pi / m) * i)) == _complex_hexes(np.exp((-2j * np.pi / m) * i))
+    # at x = -0.0 the old argument was (-0.0, +0.0), so np.exp gave 1 + j(+0.0)
+    # where the builder gives exp(j(-0.0)) = 1 + j(-0.0); evaluate's first
+    # step e^1 = 1 * e1 reads +0.0 from either, and test_field checks the values
+    assert _complex_hexes(phase(np.array([-0.0]))) == [((1.0).hex(), (-0.0).hex())]
+    assert _complex_hexes(np.exp(2j * np.pi * np.array([-0.0]))) == [((1.0).hex(), (0.0).hex())]
 
 
 @pytest.mark.parametrize("kind", sorted(_READINGS))

@@ -174,6 +174,31 @@ def test_blocked_evaluate_keeps_the_bits_of_the_complex_sum(b, size):
     assert _hexes(f.evaluate(x)) == _hexes(old_complex_sum(f, x))
 
 
+def _zeroed_random_field(b, seed):
+    # random_field never draws a zero coefficient; zero about half of a[1..b]
+    half = random_field(b, seed).coeffs[b:].tolist()
+    keep = np.random.default_rng(seed).random(b) < 0.5
+    return BandlimitedField.from_half(half[:1] + [c if k else 0j for c, k in zip(half[1:], keep)])
+
+
+# fields with zero harmonics, which evaluate skips; with a[0] = -0.0 a zero
+# term can still turn a value's -0.0 into +0.0, so none is skipped there
+_SPARSE_FIELDS = {
+    "paper2": lambda: reference_field("paper2"),
+    "no_harmonics": lambda: BandlimitedField.from_half([0.3, 0j, 0j, 0j, 0j]),
+    "zeroed_random": lambda: _zeroed_random_field(12, seed=5),
+    "negative_zero_a0": lambda: BandlimitedField.from_half([-0.0, 0j, 0j, 0j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPARSE_FIELDS))
+@pytest.mark.parametrize("size", _BLOCK_EDGE_SIZES)
+def test_evaluate_skips_zero_harmonics_bit_for_bit(name, size):
+    f = _SPARSE_FIELDS[name]()
+    x = np.concatenate([np.random.default_rng(size).random(size), [0.0, -0.0, 0.5, 1.0]])
+    assert _hexes(f.evaluate(x)) == _hexes(old_complex_sum(f, x))
+
+
 def test_blocked_evaluate_keeps_the_bits_of_2d_and_strided_input():
     f = random_field(12, seed=4)
     x = np.random.default_rng(4).random((3, EVAL_BLOCK + 5))

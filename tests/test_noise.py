@@ -52,7 +52,7 @@ def test_gaussian_moments():
 
 
 def test_gaussian_moments_at_small_cuts():
-    # below a cut of 1 the closed forms cancel; the series keeps every digit
+    # at small cuts the closed forms cancel; the series keeps every digit
     c = 1e-3
     spec = NoiseSpec("gaussian", (1.0, c))
     assert spec.variance == pytest.approx(c**2 / 3 - 2 * c**4 / 45, rel=1e-12, abs=0.0)
@@ -60,6 +60,24 @@ def test_gaussian_moments_at_small_cuts():
     for c in (1e-300, 1e-8):
         spec = NoiseSpec("gaussian", (1.0, c))
         assert spec.variance >= 0.0 and spec.fourth_moment >= 0.0
+
+
+# Var and E[W^4] of the unit normal cut at +-c, from 50-digit mpmath
+# quadrature of u^2 and u^4 against exp(-u^2 / 2) over [0, c]
+_MPMATH_GAUSSIAN_MOMENTS = {
+    1.0: (0.2911250947727932111910105, 0.1645003790911728447640420),
+    1.1: (0.3422589304793280563552842, 0.2309100973179709887336334),
+    1.2: (0.3946352158997969442579096, 0.3121803585950984970257509),
+}
+
+
+@pytest.mark.parametrize("c", sorted(_MPMATH_GAUSSIAN_MOMENTS))
+def test_gaussian_moments_just_above_a_cut_of_one(c):
+    # the closed forms are off by 2.4e-15 to 4.0e-15 in E[W^4] here
+    var, fourth = _MPMATH_GAUSSIAN_MOMENTS[c]
+    spec = NoiseSpec("gaussian", (1.0, c))
+    assert spec.variance == pytest.approx(var, rel=1e-15, abs=0.0)
+    assert spec.fourth_moment == pytest.approx(fourth, rel=1e-15, abs=0.0)
 
 
 def test_zero_noise_moments():

@@ -39,3 +39,20 @@ def test_only_the_field_mirrors_conjugates():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("conj", "conjugate")]
     assert not found, f"conjugates taken in {found}"
+
+
+def test_only_the_phase_builder_calls_exp_cos_and_sin():
+    # field.phase is the one place a unit phase is built, so every phase
+    # vector rounds by one rule: cos and sin written into one complex vector
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builder = set()
+        if path.name == "field.py":
+            builder = {id(node) for top in tree.body
+                       if isinstance(top, ast.FunctionDef) and top.name == "phase" for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+                  and node.func.attr in ("exp", "cos", "sin") and id(node) not in builder]
+    assert not found, f"np.exp, np.cos or np.sin called in {found}"
