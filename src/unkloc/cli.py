@@ -119,13 +119,22 @@ def cmd_detect(args) -> int:
     return EXIT_OK if outcome.status == "Stopped" else EXIT_CAP
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one (under taskset that is fewer than the CPU count), else the
+    CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers_from_env() -> int:
-    """UNKLOC_THREADS, the number of sweep worker processes, capped at the CPU count."""
+    """UNKLOC_THREADS, the number of sweep worker processes, capped at the usable CPUs."""
     raw = os.environ.get("UNKLOC_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return min(max(1, int(raw)), os.cpu_count() or 1)
+        return min(max(1, int(raw)), _usable_cpus())
     except ValueError:
         raise ConfigError(f"UNKLOC_THREADS must be an integer, got {raw!r}")
 

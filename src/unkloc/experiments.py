@@ -1,9 +1,13 @@
 """Seeded Monte Carlo harness: sweeps over n, summaries, log-log slope fits.
 
 Each mode is declared once, as one row of ``_MODES``.  Each (n, trial)
-cell gets its own 64-bit seed hashed from the experiment seed, so any cell
-can be replayed bit-exactly in isolation, by the one function ``run_cell``
-that the sweep runs.  A trial whose config is unrunnable at its n (a
+cell gets its own 64-bit seed, the SeedSequence hash of (experiment seed,
+n, trial), and its Philox streams are the children of that seed.  A sweep
+worker hashes the seeds and stream keys of its whole share of the cells in
+one array call each, and re-keys one generator per stream for each cell;
+``run_cell`` hashes one cell and draws the same, so any cell can be
+replayed bit-exactly in isolation.  Both run a cell's trial through one
+function, ``_trial``.  A trial whose config is unrunnable at its n (a
 detection threshold that is not positive, or a law that hits the redraw
 bound) becomes NaN-valued rows rather than aborting the sweep; summary
 counts then show the surviving denominator.  Any other fault propagates.
@@ -12,7 +16,6 @@ counts then show the surviving denominator.  Any other fault propagates.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -26,7 +29,8 @@ from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_field, reference_field
 from .noise import NoiseSpec
-from .sampling import RenewalLaw, SampleTrace, acquire, generate_trace, grid_deviation, spawn_rngs, trial_seed
+from .sampling import (RenewalLaw, SampleTrace, acquire, generate_trace, grid_deviation, rekey, spawn_rngs, stream_keys,
+                       trial_seed)
 
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
@@ -183,9 +187,9 @@ class ExperimentResult:
     slope_note: str | None = None
 
 
-# a trial is simulate, then its mode's step, which scores the trace and
-# returns the mode's metrics in order.  Both call the layer functions through
-# this module's globals, where a tracer can wrap them.
+# a trial is _draw, from its streams, then its mode's step, which scores the
+# trace and returns the mode's metrics in order.  Both call the layer
+# functions through this module's globals, where a tracer can wrap them.
 
 
 def detect(config: ExperimentConfig, trace: SampleTrace) -> DetectionOutcome:
@@ -245,35 +249,66 @@ MODES = tuple(_MODES)
 METRIC_SETS = {name: mode.metrics for name, mode in _MODES.items()}
 
 
+def _streams(config: ExperimentConfig) -> int:
+    """The Philox streams a trial of the config's mode draws from: the
+    spacing stream, and the noise stream only for readings."""
+    return 1 + _MODES[config.mode].readings
+
+
+def _draw(config: ExperimentConfig, truth: BandlimitedField, n: int,
+          rngs: tuple[np.random.Generator, ...]) -> SampleTrace:
+    """The trace that the streams rngs draw at n, with readings from the
+    second stream when the config's mode scores them."""
+    trace = generate_trace(config.renewal.at(n), rngs[0])
+    return acquire(trace, truth, config.noise, rngs[1]) if _MODES[config.mode].readings else trace
+
+
 def simulate(config: ExperimentConfig, truth: BandlimitedField, n: int, seed: int) -> SampleTrace:
     """The first half of a trial: the trace that seed draws at n, with
     readings when the config's mode scores them."""
-    readings = _MODES[config.mode].readings
-    rngs = spawn_rngs(seed, 1 + readings)  # the noise stream only for readings
-    trace = generate_trace(config.renewal.at(n), rngs[0])
-    return acquire(trace, truth, config.noise, rngs[1]) if readings else trace
+    return _draw(config, truth, n, spawn_rngs(seed, _streams(config)))
+
+
+def _trial(config: ExperimentConfig, truth: BandlimitedField, n: int,
+           rngs: tuple[np.random.Generator, ...]) -> dict[str, float]:
+    """The metrics of the trial that the streams rngs draw at n."""
+    mode = _MODES[config.mode]
+    try:
+        return dict(zip(mode.metrics, mode.step(config, truth, _draw(config, truth, n, rngs))))
+    except ConfigError:
+        return dict.fromkeys(mode.metrics, math.nan)
 
 
 def run_cell(config: ExperimentConfig, n: int, trial: int,
              truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
     """The seed of cell (n, trial) and its trial's metrics, which depend only
     on (config, n, trial): that is what makes single-cell replay possible.
-    A truth that cannot be resolved raises; a trial whose config is
+    The seed and the streams are hashed for this one cell, on ints; the
+    sweep hashes a worker's share of cells at once and draws the same.  A
+    truth that cannot be resolved raises; a trial whose config is
     unrunnable at this n reads NaN, which keeps the denominator visible and
     replays like any other value."""
     if truth is None:
         truth = config.field_source.resolve()
-    mode = _MODES[config.mode]
     seed = trial_seed(config.master_seed, n, trial)
-    try:
-        return seed, dict(zip(mode.metrics, mode.step(config, truth, simulate(config, truth, n, seed))))
-    except ConfigError:
-        return seed, dict.fromkeys(mode.metrics, math.nan)
+    return seed, _trial(config, truth, n, spawn_rngs(seed, _streams(config)))
 
 
-def _run_cells(cell, cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
-    """cell(n, trial) for each cell, in order: one worker's share of a sweep."""
-    return [cell(n, t) for n, t in cells]
+def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
+               cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
+    """run_cell for each cell, in order: one worker's share of a sweep.  The
+    seeds and the stream keys of the whole share are hashed in one array
+    call each; the generators of the first cell's streams are then re-keyed
+    for each cell, which draws what that cell's spawn_rngs would draw."""
+    ns, trials = np.array(cells).T  # an n past int64 makes floats or objects, which trial_seed refuses
+    seeds = trial_seed(config.master_seed, ns, trials)
+    keys = stream_keys(seeds, _streams(config))
+    rngs = spawn_rngs(seeds[0], len(keys))
+    out = []
+    for j, (n, _) in enumerate(cells):
+        streams = tuple(rekey(rng, (low[j], high[j])) for rng, (low, high) in zip(rngs, keys))
+        out.append((int(seeds[j]), _trial(config, truth, n, streams)))
+    return out
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -284,7 +319,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     each of the others.  Every cell's seed is derived from the cell, so the
     rows are the same at any worker count."""
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    cell = functools.partial(run_cell, config, truth=config.field_source.resolve())
+    truth = config.field_source.resolve()
     workers = min(workers, len(cells))
     if workers > 1:
         # imported here: at module level they add about 14 ms to every CLI
@@ -295,12 +330,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
         outcomes = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = [pool.submit(_run_cells, cell, cells[w::workers]) for w in range(1, workers)]
-            outcomes[::workers] = _run_cells(cell, cells[::workers])
+            parts = [pool.submit(_run_cells, config, truth, cells[w::workers]) for w in range(1, workers)]
+            outcomes[::workers] = _run_cells(config, truth, cells[::workers])
             for w, part in enumerate(parts, 1):
                 outcomes[w::workers] = part.result()
     else:
-        outcomes = _run_cells(cell, cells)
+        outcomes = _run_cells(config, truth, cells)
     metric_names = _MODES[config.mode].metrics
     rows = tuple(
         TrialRow(n=n, trial=t, seed=seed, metric=name, value=float(values[name]))

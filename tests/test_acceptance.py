@@ -5,12 +5,11 @@ These are slower than the unit tests on purpose; together they rerun the
 main Monte Carlo results end to end from fixed seeds.
 """
 
-import os
-
 import numpy as np
 from scipy.stats import binom, norm
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth
+from unkloc.cli import _usable_cpus
 from unkloc.errors import ConfigError
 from unkloc.estimator import estimate_field
 from unkloc.experiments import ExperimentConfig, FieldSource, run
@@ -20,8 +19,8 @@ from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, sp
 
 SEED = 20260822
 RATE_WINDOW = (-1.3, -0.7)  # acceptable log-log slope for 1/n decay
-# rows are the same at any worker count, so the sweeps use every CPU
-WORKERS = os.cpu_count() or 1
+# rows are the same at any worker count, so the sweeps use every CPU they may run on
+WORKERS = _usable_cpus()
 
 
 def _report(name, ok, detail):

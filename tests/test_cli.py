@@ -260,7 +260,7 @@ def test_sweep_trial_fault_in_a_worker_exits_fault(sweep_config, tmp_path, monke
         raise RuntimeError("estimator bug")
 
     monkeypatch.setattr(experiments, "estimate_field", broken)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU host
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a pool even on a one-CPU host
     monkeypatch.setenv("UNKLOC_THREADS", "2")
     assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_FAULT
     assert "estimator bug" in capsys.readouterr().err
@@ -281,8 +281,19 @@ def test_sweep_threads_are_capped_at_the_cpu_count(sweep_config, tmp_path, monke
     for value in ("100000", "1"):
         monkeypatch.setenv("UNKLOC_THREADS", value)
         assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / value)]) == EXIT_OK
-    assert seen == [os.cpu_count() or 1, 1]
+    assert seen == [cli._usable_cpus(), 1]
     assert (tmp_path / "100000" / "rows.csv").read_bytes() == (tmp_path / "1" / "rows.csv").read_bytes()
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # under taskset -c 0 on a many-CPU host a second worker would share the one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setenv("UNKLOC_THREADS", "2")
+    assert cli._usable_cpus() == 1
+    assert cli._workers_from_env() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # an OS without affinity masks falls back to the CPU count
+    assert cli._usable_cpus() == 8
 
 
 def test_sweep_overrides(sweep_config, tmp_path, monkeypatch, capsys):

@@ -26,7 +26,7 @@ from unkloc.experiments import (
     write_summary_csv,
 )
 from unkloc.noise import NoiseSpec
-from unkloc.sampling import RenewalLaw, generate_trace, spawn_rngs, trial_seed
+from unkloc.sampling import RenewalLaw, generate_trace, rekey, spawn_rngs, trial_seed
 
 
 def _config(**kw):
@@ -363,6 +363,20 @@ def test_a_trial_builds_only_the_streams_it_draws_from(monkeypatch, mode, stream
     cfg = ExperimentConfig.from_dict(_record(mode=mode, **{"n_grid": [100, 2000], **_SMALL_SWEEPS[mode]}))
     run_cell(cfg, 2000, 1)
     assert asked == [streams]
+
+
+@pytest.mark.parametrize("mode, streams", [("DistortionSweep", 2), ("BandwidthCurve", 2), ("GridDeviation", 1),
+                                           ("EnergyMSE", 2)])
+def test_a_sweep_keys_only_the_streams_it_draws_from(monkeypatch, mode, streams):
+    # a worker builds its generators once and re-keys them for each cell
+    built, keyed = [], []
+    monkeypatch.setattr(experiments, "spawn_rngs",
+                        lambda seed, count=2: built.append(count) or spawn_rngs(seed, count))
+    monkeypatch.setattr(experiments, "rekey", lambda rng, key: keyed.append(key) or rekey(rng, key))
+    cfg = ExperimentConfig.from_dict(_record(mode=mode, trials=3, **{"n_grid": [100, 2000], **_SMALL_SWEEPS[mode]}))
+    run(cfg)
+    assert built == [streams]
+    assert len(keyed) == streams * 6
 
 
 def test_summary_mean_is_arithmetic_mean():

@@ -20,7 +20,9 @@ from unkloc.sampling import (
     acquire,
     generate_trace,
     grid_deviation,
+    rekey,
     spawn_rngs,
+    stream_keys,
     trial_seed,
 )
 
@@ -298,6 +300,102 @@ def test_trial_seed_is_the_seed_sequence_hash_of_the_cell(seed, n, trial):
 def test_trial_seed_refuses_a_negative_cell(n, trial):
     with pytest.raises(ValueError, match="n >= 0 and trial >= 0"):
         trial_seed(5, n, trial)
+
+
+def _reference_seed(seed, n, trial):
+    return int(np.random.SeedSequence(entropy=(seed & MASK64, n, trial)).generate_state(1, np.uint64)[0])
+
+
+# an entry of 2**32 or more splits into two words, so a batch that draws from
+# both sides of it mixes word layouts
+_WORD = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+_CELLS = st.lists(st.tuples(st.one_of(_WORD, st.integers(-2**63, -1)), _WORD, _WORD), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=_CELLS)
+def test_an_array_of_cells_hashes_as_seed_sequence_does(cells):
+    masters, ns, trials = (list(column) for column in zip(*cells))
+    # the masters as int64 when they fit, which wraps a negative one, else mod 2**64
+    masters = (np.array(masters, dtype=np.int64) if all(m < 2**63 for m in masters)
+               else np.array([m & MASK64 for m in masters], dtype=np.uint64))
+    seeds = trial_seed(masters, np.array(ns, dtype=np.uint64), np.array(trials, dtype=np.uint64))
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(cells),)
+    for (m, n, t), seed in zip(cells, seeds.tolist()):
+        assert seed == _reference_seed(m, n, t) == trial_seed(m, n, t)
+
+
+@pytest.mark.parametrize("master", [0, 7, 2**32, 2**70 + 5, -(2**40)])
+def test_an_int_broadcasts_against_the_arrays_of_a_cell(master):
+    # as a sweep worker calls it: one master, arrays of n and trial
+    ns = np.array([100, 100, 2**33, 2000], dtype=np.int64)
+    trials = np.array([0, 2**40, 1, 3], dtype=np.int64)
+    assert trial_seed(master, ns, trials).tolist() == [_reference_seed(master, n, t) for n, t in zip(ns.tolist(),
+                                                                                                   trials.tolist())]
+    assert trial_seed(master, 2**40, trials).tolist() == [_reference_seed(master, 2**40, t) for t in trials.tolist()]
+
+
+@pytest.mark.parametrize("n, trial, match", [
+    (np.array([5, -1]), 0, "n >= 0 and trial >= 0"),
+    (5, np.array([-3]), "n >= 0 and trial >= 0"),
+    (np.array([2.0**63]), 0, "integers below 2"),  # a float would round the cell
+    (np.array([2**64], dtype=object), 0, "integers below 2"),
+    (2**64, np.array([1]), "integers below 2"),  # one cell of ints hashes it; an array call does not
+])
+def test_an_array_cell_that_seed_sequence_would_not_hash_is_refused(n, trial, match):
+    with pytest.raises(ValueError, match=match):
+        trial_seed(5, n, trial)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**80 + 3])
+def test_stream_keys_are_the_keys_of_the_spawned_children(seed):
+    want = [tuple(np.random.SeedSequence(seed & MASK64, spawn_key=(i,)).generate_state(2, np.uint64).tolist())
+            for i in range(3)]
+    assert [tuple(map(int, key)) for key in stream_keys(seed, 3)] == want
+    # the array path hashes the same keys, cell by cell
+    seeds = np.array([seed & MASK64, 5], dtype=np.uint64)
+    keys = stream_keys(seeds, 3)
+    assert [(int(low[0]), int(high[0])) for low, high in keys] == want
+
+
+def _families():
+    flat = BandlimitedField(0, [0.0])
+    for renewal in PINNED_RENEWALS.values():
+        for family, params in PINNED_NOISES:
+            yield RenewalLaw(*renewal).at(300), flat, NoiseSpec(family, params)
+
+
+@pytest.mark.parametrize("seed", [3, 2**40 + 9])
+def test_a_rekeyed_generator_draws_what_a_fresh_child_draws(seed):
+    # an odd count of integers below 2**32 leaves half of a 64-bit draw
+    # buffered (has_uint32), and a normal draw advances the Philox buffer, so
+    # the re-key must clear both
+    used = [np.random.Generator(np.random.Philox(key=99)) for _ in range(2)]
+    for rng in used:
+        rng.integers(0, 2, size=3)
+        rng.standard_normal(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    for spec, flat, noise in _families():
+        fresh = [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,)))) for i in range(2)]
+        rekeyed = [rekey(rng, key) for rng, key in zip(used, stream_keys(seed, 2))]
+        traces = [acquire(generate_trace(spec, rngs[0]), flat, noise, rngs[1]) for rngs in (fresh, rekeyed)]
+        assert traces[0].locations.tobytes() == traces[1].locations.tobytes()
+        assert traces[0].readings.tobytes() == traces[1].readings.tobytes()
+        # the streams go on alike past the trace, in 32-bit and 64-bit draws,
+        # and leave half a draw buffered for the next family's re-key
+        for a, b in zip(fresh, rekeyed):
+            assert a.integers(0, 2, size=5).tolist() == b.integers(0, 2, size=5).tolist()
+            assert a.random(3).tobytes() == b.random(3).tobytes()
+
+
+def test_rekey_sets_the_whole_philox_state():
+    rng = spawn_rngs(8, 1)[0]
+    rng.integers(0, 2, size=7)
+    state = rekey(rng, (5, 2**64 - 1)).bit_generator.state
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert state["state"]["key"].tolist() == [5, 2**64 - 1]
+    assert state["buffer"].tolist() == [0, 0, 0, 0]
+    assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
 
 
 def test_spawn_rngs_reproducible():

@@ -56,3 +56,19 @@ def test_only_the_phase_builder_calls_exp_cos_and_sin():
                   and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
                   and node.func.attr in ("exp", "cos", "sin") and id(node) not in builder]
     assert not found, f"np.exp, np.cos or np.sin called in {found}"
+
+
+def test_only_the_sampling_hash_makes_seeds():
+    # sampling writes numpy's SeedSequence hash once, for one cell and for a
+    # sweep worker's share, so no module builds a SeedSequence of its own;
+    # the tests keep numpy's as the reference
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and (
+                      isinstance(node.func, ast.Attribute) and node.func.attr == "SeedSequence"
+                      or isinstance(node.func, ast.Name) and node.func.id == "SeedSequence")]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and any(alias.name == "SeedSequence" for alias in node.names)]
+    assert not found, f"SeedSequence used in {found}"
