@@ -28,7 +28,7 @@ ITERATION_CAP = 10**9
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once so
 # that the same lines run on Python ints (one cell) and on uint64 arrays (a
-# slice of cells).  It works on 32-bit words: every product and difference is
+# sweep worker's share of cells).  It works on 32-bit words: every product and difference is
 # masked to its low 32 bits, a product of two words fits in a uint64, and a
 # wrapped uint64 difference keeps the right low 32 bits.  hashmix(v) is
 # ((v ^ a) * b mod 2**32) ^ its top half, where the constants (a, b) of its
@@ -70,7 +70,8 @@ _SPAWN = _steps([(_POOL, dst) for dst in range(_POOL)], _PAST)  # one spawn key 
 # generate_state: 32-bit word j hashes pool word j mod 4 by the chain
 # INIT_B * MULT_B**j, and words 2j and 2j + 1 make 64-bit word j
 _HASH_B = _chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
-_STATE = tuple((2 * j % _POOL, *_HASH_B[2 * j:2 * j + 2], *_HASH_B[2 * j + 1:2 * j + 3]) for j in range(_POOL))
+_STATE = tuple((2 * j % _POOL, _HASH_B[2 * j], _HASH_B[2 * j + 1], _HASH_B[2 * j + 1], _HASH_B[2 * j + 2])
+               for j in range(_POOL))
 
 
 def _stir(words: list, steps, mask: int = _MASK32, left: int = _MIX_L, right: int = _MIX_R) -> list:
