@@ -3,7 +3,7 @@
 Each mode is declared once, as one row of ``_MODES``.  Each (n, trial)
 cell gets its own 64-bit seed, the SeedSequence hash of (experiment seed,
 n, trial), and its Philox streams are the children of that seed.  A sweep
-worker hashes the seeds and stream keys of its whole share of the cells in
+worker hashes the seeds and stream keys of its share's cells at one n in
 one array call each, and re-keys one generator per stream for each cell;
 ``run_cell`` hashes one cell and draws the same, so any cell can be
 replayed bit-exactly in isolation.  Both run a cell's trial through one
@@ -16,6 +16,7 @@ counts then show the surviving denominator.  Any other fault propagates.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -109,6 +110,11 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", whole("master_seed", self.master_seed))
         if self.known_b is not None:
             object.__setattr__(self, "known_b", whole("known_b", self.known_b, 0))
+            fewest = self.renewal._fewest(grid[0])  # M grid points resolve harmonics up to (M - 1)/2
+            if 2 * self.known_b + 1 > fewest:
+                raise ConfigError(f"known_b = {self.known_b} needs 2 known_b + 1 samples, but a trace at n = {grid[0]} "
+                                  f"may hold {fewest} (lam = {self.renewal.lam:g}); n_grid must start at n >= lam "
+                                  "and above lam (2 known_b + 1)")
         # BandwidthConfig owns the delta and b_max rules; a probe applies them at load
         BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
 
@@ -284,7 +290,7 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
     """The seed of cell (n, trial) and its trial's metrics, which depend only
     on (config, n, trial): that is what makes single-cell replay possible.
     The seed and the streams are hashed for this one cell, on ints; the
-    sweep hashes a worker's share of cells at once and draws the same.  A
+    sweep hashes a worker's cells at one n at once and draws the same.  A
     truth that cannot be resolved raises; a trial whose config is
     unrunnable at this n reads NaN, which keeps the denominator visible and
     replays like any other value."""
@@ -296,18 +302,19 @@ def run_cell(config: ExperimentConfig, n: int, trial: int,
 
 def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
                cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
-    """run_cell for each cell, in order: one worker's share of a sweep.  The
-    seeds and the stream keys of the whole share are hashed in one array
-    call each; the generators of the first cell's streams are then re-keyed
-    for each cell, which draws what that cell's spawn_rngs would draw."""
-    ns, trials = np.array(cells).T  # an n past int64 makes floats or objects, which trial_seed refuses
-    seeds = trial_seed(config.master_seed, ns, trials)
-    keys = stream_keys(seeds, _streams(config))
-    rngs = spawn_rngs(seeds[0], len(keys))
+    """run_cell for each cell, in order: one worker's share of a sweep, which
+    is ordered by n first.  The seeds and the stream keys of the share's
+    cells at one n are hashed in one array call each; one generator per
+    stream is built for the share and re-keyed for each cell, which draws
+    what that cell's spawn_rngs would draw."""
+    rngs = spawn_rngs(config.master_seed, _streams(config))  # any seed: every cell re-keys them
     out = []
-    for j, (n, _) in enumerate(cells):
-        streams = tuple(rekey(rng, (low[j], high[j])) for rng, (low, high) in zip(rngs, keys))
-        out.append((int(seeds[j]), _trial(config, truth, n, streams)))
+    for n, share in itertools.groupby(cells, key=lambda cell: cell[0]):
+        seeds = trial_seed(config.master_seed, n, np.array([trial for _, trial in share]))
+        keys = stream_keys(seeds, len(rngs))
+        for j, seed in enumerate(seeds.tolist()):
+            streams = tuple(rekey(rng, (low[j], high[j])) for rng, (low, high) in zip(rngs, keys))
+            out.append((seed, _trial(config, truth, n, streams)))
     return out
 
 

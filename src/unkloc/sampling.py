@@ -3,8 +3,10 @@
 Locations are partial sums S_i of i.i.d. spacings X with E[X] = 1/n and
 support inside (0, lam/n]; generation stops at the last S_M <= 1 (the
 spacing that would cross 1 is drawn and discarded).  Per-trial randomness
-comes from Philox, a counter-based 64-bit generator, keyed by a hash of
-(experiment seed, n, trial index).
+comes from Philox, a counter-based 64-bit generator.  One transcription of
+numpy's SeedSequence hash makes both the seed of an (experiment seed, n,
+trial) cell and the key of each of its streams, and every stream is keyed
+one way: a generator is re-keyed to its key.
 """
 
 from __future__ import annotations
@@ -26,83 +28,58 @@ _MASK64 = (1 << 64) - 1
 ITERATION_CAP = 10**9
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once so
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), transcribed so
 # that the same lines run on Python ints (one cell) and on uint64 arrays (a
-# sweep worker's share of cells).  It works on 32-bit words: every product and difference is
-# masked to its low 32 bits, a product of two words fits in a uint64, and a
-# wrapped uint64 difference keeps the right low 32 bits.  hashmix(v) is
-# ((v ^ a) * b mod 2**32) ^ its top half, where the constants (a, b) of its
-# k-th call are links k and k + 1 of a chain INIT * MULT**k that does not
-# depend on the data, so each step below carries its own; mix(x, y) is
-# ((L * x - R * y) mod 2**32) ^ its top half.  Both are written out in the
-# loops, as a call each would cost more than their arithmetic on one cell,
-# and the loops take the mask and multipliers as default arguments, which
-# Python reads as fast as locals.
+# sweep worker's cells at one n).  It works on 32-bit words: every product
+# and difference is masked to its low 32 bits, a product of two words fits
+# in a uint64, and a wrapped uint64 difference keeps the right low 32 bits.
 _MASK32 = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's default pool size, in words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _chain(init: int, mult: int, links: int) -> list[int]:
-    out = [init]
-    for _ in range(links - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hashmix(value, const: int, mult: int):
+    """hashmix: value hashed by the running hash constant, and the constant
+    that the next call takes.  It returns a new value rather than updating
+    its argument, which may be a pool word."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
 
 
-_HASH_A = _chain(_INIT_A, _MULT_A, 16 + 4 * 2 + 1)  # a pool and two words past it
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
 
 
-def _steps(pairs, k: int) -> tuple:
-    """The (src, dst) pairs of mix_entropy from hashmix call k on, each
-    with the constants (a, b) of its call."""
-    chain = _HASH_A if k + len(pairs) < len(_HASH_A) else _chain(_INIT_A, _MULT_A, k + len(pairs) + 1)
-    return tuple((src, dst, chain[k + j], chain[k + j + 1]) for j, (src, dst) in enumerate(pairs))
-
-
-# mix_entropy: hashmix each entropy word into its pool word, mix each pool
-# word into the other three, then mix each word past the pool into all four
-_FIRST = tuple(_HASH_A[:_POOL + 1])  # the links of hashmix calls 0 to 3
-_CROSS = _steps([(src, dst) for src in range(_POOL) for dst in range(_POOL) if src != dst], _POOL)
-_PAST = _POOL + len(_CROSS)  # the hashmix call of the first word past the pool
-_SPAWN = _steps([(_POOL, dst) for dst in range(_POOL)], _PAST)  # one spawn key word
-# generate_state: 32-bit word j hashes pool word j mod 4 by the chain
-# INIT_B * MULT_B**j, and words 2j and 2j + 1 make 64-bit word j
-_HASH_B = _chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
-_STATE = tuple((2 * j % _POOL, _HASH_B[2 * j], _HASH_B[2 * j + 1], _HASH_B[2 * j + 1], _HASH_B[2 * j + 2])
-               for j in range(_POOL))
-
-
-def _stir(words: list, steps, mask: int = _MASK32, left: int = _MIX_L, right: int = _MIX_R) -> list:
-    """words[dst] = mix(words[dst], hashmix(words[src])) for each step, in place."""
-    for src, dst, a, b in steps:
-        value = (words[src] ^ a) * b & mask
-        value = (left * words[dst] - right * (value ^ value >> 16)) & mask
-        words[dst] = value ^ value >> 16
-    return words
-
-
-def _pool(words: list, mask: int = _MASK32) -> list:
+def _pool(entropy: list) -> list:
     """SeedSequence.mix_entropy: the pool of 4 words that the entropy words hash to."""
-    a0, a1, a2, a3, a4 = _FIRST
-    w0, w1, w2, w3 = (words + [0] * _POOL)[:_POOL]  # 0 past the last word
-    p0, p1, p2, p3 = (w0 ^ a0) * a1 & mask, (w1 ^ a1) * a2 & mask, (w2 ^ a2) * a3 & mask, (w3 ^ a3) * a4 & mask
-    pool = _stir([p0 ^ p0 >> 16, p1 ^ p1 >> 16, p2 ^ p2 >> 16, p3 ^ p3 >> 16], _CROSS)
-    if len(words) <= _POOL:
-        return pool
-    past = [(src, dst) for src in range(_POOL, len(words)) for dst in range(_POOL)]
-    return _stir(pool + words[_POOL:], _steps(past, _PAST))[:_POOL]
+    pool, const = [], _INIT_A
+    for i in range(_POOL):  # 0 past the last entropy word
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):  # mix every pool word into the other three
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for value in entropy[_POOL:]:  # then every word past the pool into all four
+        for dst in range(_POOL):
+            word, const = _hashmix(value, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    return pool
 
 
 def _state64(pool: list, count: int) -> list:
-    """SeedSequence.generate_state(count, np.uint64) of the pool."""
-    out = []
-    for i, a, b, c, d in _STATE[:count]:
-        low = (pool[i] ^ a) * b & _MASK32
-        high = (pool[i + 1] ^ c) * d & _MASK32
-        out.append(low ^ low >> 16 | (high ^ high >> 16) << 32)
-    return out
+    """SeedSequence.generate_state(count, np.uint64) of the pool: 32-bit word
+    j hashes pool word j mod 4, and words 2j and 2j + 1 make 64-bit word j."""
+    words, const = [], _INIT_B
+    for j in range(2 * count):
+        word, const = _hashmix(pool[j % _POOL], const, _MULT_B)
+        words.append(word)
+    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
 
 
 def _split(value: int) -> list[int]:
@@ -114,87 +91,37 @@ def _split(value: int) -> list[int]:
     return words
 
 
-def _cell_array(name: str, value) -> np.ndarray:
-    """One entry of the cells of an array call, as uint64: the seed taken
-    mod 2**64, and n and trial refused if negative, as SeedSequence refuses
-    them.  An entry must hold integers below 2**64; an int past that, or a
-    float, is refused rather than rounded."""
-    if not isinstance(value, np.ndarray):
-        value = np.asarray(int(value) & _MASK64 if name == "experiment_seed" else int(value))
-    if value.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers below 2**64 in an array of cells, got dtype {value.dtype}")
-    if name != "experiment_seed" and (value < 0).any():
-        raise ValueError(f"a cell needs n >= 0 and trial >= 0, got a negative {name}")
-    return value.astype(np.uint64)  # wraps a negative seed mod 2**64
-
-
-def trial_seed(experiment_seed, n, trial):
+def trial_seed(experiment_seed: int, n: int, trial):
     """Stable 64-bit seed of the (n, trial) cell of an experiment: the
     SeedSequence hash of the entropy (experiment_seed mod 2**64, n, trial),
     whose words are the little-endian 32-bit words SeedSequence splits each
     int into (0 is one word).
 
-    With ints it hashes one cell and returns an int.  With numpy arrays
-    (ints broadcast against them) it hashes every cell at once and returns a
-    uint64 array; an entry of 2**32 or more takes a second word, so the
-    cells are hashed in groups of one word layout."""
-    if not (isinstance(experiment_seed, np.ndarray) or isinstance(n, np.ndarray) or isinstance(trial, np.ndarray)):
-        n, trial = int(n), int(trial)
-        if n < 0 or trial < 0:  # as SeedSequence does; the split holds for ints >= 0 only
-            raise ValueError(f"a cell needs n >= 0 and trial >= 0, got n={n}, trial={trial}")
-        experiment_seed = int(experiment_seed) & _MASK64
-        words = ([experiment_seed, n, trial] if experiment_seed | n | trial <= _MASK32
-                 else _split(experiment_seed) + _split(n) + _split(trial))
-        return _state64(_pool(words), 1)[0]
-    cell = np.broadcast_arrays(*(_cell_array(name, value) for name, value in
-                                 (("experiment_seed", experiment_seed), ("n", n), ("trial", trial))))
-    layout = (cell[0] > _MASK32) + 2 * (cell[1] > _MASK32) + 4 * (cell[2] > _MASK32)  # bit i: entry i takes two words
-    seeds = np.empty(layout.shape, dtype=np.uint64)
-    for code in range(8):
-        chosen = layout == code
-        if chosen.any():
-            words = []
-            for i, entry in enumerate(cell):
-                entry = entry[chosen]
-                words += [entry & _MASK32, entry >> 32] if code >> i & 1 else [entry]
-            seeds[chosen] = _state64(_pool(words), 1)[0]
-    return seeds
-
-
-def _stream_pools(seed, count: int) -> list[list]:
-    """The pools of the first count streams of a trial seed (an int, or a
-    numpy array of seeds).  Stream i is child i of SeedSequence(seed mod
-    2**64).spawn(...), whose entropy words are [s_lo, s_hi, 0, 0, i]: the
-    spawn key's padding, which also holds for s < 2**32.  The streams share
-    the pool of the first four words, and mix their own word into it."""
-    seed = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else int(seed) & _MASK64
-    pool = _pool([seed & _MASK32, seed >> 32, 0, 0])
-    return [_stir(pool + [i], _SPAWN)[:_POOL] for i in range(count)]
+    With an int trial it hashes one cell and returns an int.  With an
+    integer array of trials in [0, 2**32), one word each, it hashes the
+    cells of every trial at this n at once and returns a uint64 array."""
+    n, array = int(n), isinstance(trial, np.ndarray)
+    if array:  # one word per trial; checked on Python ints, as numpy's checks page in more code than the hash
+        fits = trial.dtype.kind in "iu" and all(0 <= t <= _MASK32 for t in trial.tolist())
+    else:
+        trial = int(trial)
+        fits = trial >= 0
+    if n < 0 or not fits:  # as SeedSequence refuses them; the split holds for ints >= 0 only
+        raise ValueError(f"a cell needs n >= 0 and trial >= 0, and an array of trials integers below 2**32; "
+                         f"got n={n}, trial={trial}")
+    words = [trial.astype(np.uint64)] if array else _split(trial)
+    return _state64(_pool(_split(int(experiment_seed) & _MASK64) + _split(n) + words), 1)[0]
 
 
 def stream_keys(seed, count: int = 2) -> list[tuple]:
     """The Philox keys of the first count streams of a trial seed (an int,
-    or a numpy array of seeds): each a (low, high) pair of 64-bit words,
-    generate_state(2, np.uint64) of the stream's pool, as Philox takes it."""
-    return [tuple(_state64(pool, 2)) for pool in _stream_pools(seed, count)]
-
-
-class _HashedPool:
-    """A stream's SeedSequence pool, hashed by the lines above, in the role
-    of the seed sequence that Philox reads its key from.  It is registered as
-    a numpy ISeedSequence on first use, which keeps numpy.random out of the
-    import."""
-
-    __slots__ = ("pool",)
-
-    def __init__(self, pool: list[int]) -> None:
-        self.pool = pool
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        """SeedSequence.generate_state, for the 64-bit words that Philox asks for."""
-        if np.dtype(dtype) != np.uint64 or n_words > _POOL:
-            raise NotImplementedError("a hashed pool generates at most 4 uint64 words")
-        return np.array(_state64(self.pool, n_words), dtype=np.uint64)
+    or a numpy array of seeds): each a (low, high) pair of 64-bit words.
+    Stream i is child i of SeedSequence(seed mod 2**64).spawn(...), whose
+    entropy words are [s_lo, s_hi, 0, 0, i]: the spawn key's padding, which
+    also holds for s < 2**32.  Its key is generate_state(2, np.uint64) of
+    their pool, as Philox takes it."""
+    seed = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else int(seed) & _MASK64
+    return [tuple(_state64(_pool([seed & _MASK32, seed >> 32, 0, 0, i]), 2)) for i in range(count)]
 
 
 def rekey(generator: np.random.Generator, key) -> np.random.Generator:
@@ -208,11 +135,9 @@ def rekey(generator: np.random.Generator, key) -> np.random.Generator:
 
 def spawn_rngs(seed: int, count: int = 2) -> tuple[np.random.Generator, ...]:
     """The first count independent Philox streams of one trial seed: the
-    first drives the spacing draws, the second the noise draws.  Stream i is
-    child i of SeedSequence(seed mod 2**64).spawn(...), keyed as stream_keys
-    says."""
-    np.random.bit_generator.ISeedSequence.register(_HashedPool)
-    return tuple(np.random.Generator(np.random.Philox(_HashedPool(pool))) for pool in _stream_pools(seed, count))
+    first drives the spacing draws, the second the noise draws.  Each is a
+    generator re-keyed to its key from stream_keys."""
+    return tuple(rekey(np.random.Generator(np.random.Philox(0)), key) for key in stream_keys(seed, count))
 
 
 def _beta_lam(alpha: float, beta: float) -> float:
@@ -269,6 +194,12 @@ class RenewalLaw:
     def at(self, n: int) -> "RenewalSpec":
         """This law at sample density n."""
         return RenewalSpec(n, self)
+
+    def _fewest(self, n) -> int:
+        """The fewest samples a trace at density n can hold: the smallest M
+        with (M + 1) lam >= n, as M + 1 spacings of at most lam/n reach past
+        1 (with a tiny slack, as the sums round)."""
+        return math.ceil((n - 1e-9) / self.lam) - 1
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalLaw":
@@ -333,7 +264,7 @@ class SampleTrace:
         # rounds, so the overshoot may poke one ulp past the spacing bound
         if self.overshoot > self.spec.max_spacing + 1e-12:
             raise ValueError("overshoot 1 - S_M must lie in [0, lam/n)")
-        if (self.m + 1) * self.spec.law.lam < self.spec.n - 1e-9:
+        if self.m < self.spec.law._fewest(self.spec.n):
             raise ValueError("trace is too short for the spacing bound (M + 1 >= n/lam)")
         if self.readings is not None:
             r = np.asarray(self.readings)

@@ -526,6 +526,7 @@ def test_unread_entries_exit_usage(paper2_file, sweep_config, tmp_path, capsys, 
 @pytest.mark.parametrize("command, flags", [
     ("estimate", ["--n", "1"]),  # uniform: lam = 2
     ("detect", ["--n", "1500", "--renewal", "scaled_beta", "--alpha", "1e-3"]),  # lam = 2001
+    ("estimate", ["--n", "1000", "--b", "400000"]),  # a trace may hold 499 samples, and b needs 2b + 1
 ])
 def test_simulation_refuses_n_below_lambda(paper2_file, capsys, command, flags):
     # the rule sweep configs already follow: below lam a trace can hold no sample

@@ -169,6 +169,10 @@ def test_config_rejects_grid_below_lambda():
     with pytest.raises(ConfigError, match="lam = 4"):
         _config(renewal=RenewalLaw("scaled_beta", alpha=1.0, beta=3.0), n_grid=(3, 200))
     assert _config(renewal=RenewalLaw("degenerate"), n_grid=(1, 200)).n_grid[0] == 1
+    # a trace at n = 200 may hold 99 samples, and known_b = b needs 2b + 1
+    with pytest.raises(ConfigError, match="known_b = 50 needs 2 known_b [+] 1 samples, but a trace at n = 200 may hold 99"):
+        _config(known_b=50)
+    assert _config(known_b=49).known_b == 49
 
 
 def test_config_rejects_unknown_mode():

@@ -306,41 +306,37 @@ def _reference_seed(seed, n, trial):
     return int(np.random.SeedSequence(entropy=(seed & MASK64, n, trial)).generate_state(1, np.uint64)[0])
 
 
-# an entry of 2**32 or more splits into two words, so a batch that draws from
-# both sides of it mixes word layouts
+# a sweep worker hashes its cells one n at a time: an int master and n, and
+# an array of trials of one word each; a master or an n of 2**32 or more
+# splits into two words
 _WORD = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
-_CELLS = st.lists(st.tuples(st.one_of(_WORD, st.integers(-2**63, -1)), _WORD, _WORD), min_size=1, max_size=40)
 
 
 @settings(max_examples=60, deadline=None)
-@given(cells=_CELLS)
-def test_an_array_of_cells_hashes_as_seed_sequence_does(cells):
-    masters, ns, trials = (list(column) for column in zip(*cells))
-    # the masters as int64 when they fit, which wraps a negative one, else mod 2**64
-    masters = (np.array(masters, dtype=np.int64) if all(m < 2**63 for m in masters)
-               else np.array([m & MASK64 for m in masters], dtype=np.uint64))
-    seeds = trial_seed(masters, np.array(ns, dtype=np.uint64), np.array(trials, dtype=np.uint64))
-    assert seeds.dtype == np.uint64 and seeds.shape == (len(cells),)
-    for (m, n, t), seed in zip(cells, seeds.tolist()):
-        assert seed == _reference_seed(m, n, t) == trial_seed(m, n, t)
+@given(master=st.one_of(_WORD, st.integers(-2**63, -1)), n=_WORD,
+       trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40))
+@example(master=-1, n=2**32, trials=[0, 2**32 - 1])
+@example(master=2**32 - 1, n=2**32 - 1, trials=[2**32 - 1, 0])
+def test_an_array_of_cells_hashes_as_seed_sequence_does(master, n, trials):
+    seeds = trial_seed(master, n, np.array(trials, dtype=np.int64))
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(trials),)
+    for t, seed in zip(trials, seeds.tolist()):
+        assert seed == _reference_seed(master, n, t) == trial_seed(master, n, t)
 
 
 @pytest.mark.parametrize("master", [0, 7, 2**32, 2**70 + 5, -(2**40)])
 def test_an_int_broadcasts_against_the_arrays_of_a_cell(master):
-    # as a sweep worker calls it: one master, arrays of n and trial
-    ns = np.array([100, 100, 2**33, 2000], dtype=np.int64)
-    trials = np.array([0, 2**40, 1, 3], dtype=np.int64)
-    assert trial_seed(master, ns, trials).tolist() == [_reference_seed(master, n, t) for n, t in zip(ns.tolist(),
-                                                                                                   trials.tolist())]
-    assert trial_seed(master, 2**40, trials).tolist() == [_reference_seed(master, 2**40, t) for t in trials.tolist()]
+    # as a sweep worker calls it: one master and one n, an array of trials
+    trials = np.array([0, 1, 3, 2**32 - 1], dtype=np.int64)
+    for n in (100, 2**33):
+        assert trial_seed(master, n, trials).tolist() == [_reference_seed(master, n, t) for t in trials.tolist()]
 
 
 @pytest.mark.parametrize("n, trial, match", [
-    (np.array([5, -1]), 0, "n >= 0 and trial >= 0"),
+    (-1, np.array([0]), "n >= 0 and trial >= 0"),
     (5, np.array([-3]), "n >= 0 and trial >= 0"),
-    (np.array([2.0**63]), 0, "integers below 2"),  # a float would round the cell
-    (np.array([2**64], dtype=object), 0, "integers below 2"),
-    (2**64, np.array([1]), "integers below 2"),  # one cell of ints hashes it; an array call does not
+    (5, np.array([1.0]), "integers below 2"),  # a float would round the cell
+    (5, np.array([0, 2**32]), "integers below 2"),  # one word per trial
 ])
 def test_an_array_cell_that_seed_sequence_would_not_hash_is_refused(n, trial, match):
     with pytest.raises(ValueError, match=match):

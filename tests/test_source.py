@@ -60,8 +60,10 @@ def test_only_the_phase_builder_calls_exp_cos_and_sin():
 
 def test_only_the_sampling_hash_makes_seeds():
     # sampling writes numpy's SeedSequence hash once, for one cell and for a
-    # sweep worker's share, so no module builds a SeedSequence of its own;
-    # the tests keep numpy's as the reference
+    # sweep worker's cells at one n, and keys every Philox stream by re-keying
+    # it, so no module builds a SeedSequence of its own or registers a
+    # stand-in for one as an ISeedSequence; the tests keep numpy's as the
+    # reference
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -71,4 +73,8 @@ def test_only_the_sampling_hash_makes_seeds():
                       or isinstance(node.func, ast.Name) and node.func.id == "SeedSequence")]
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and any(alias.name == "SeedSequence" for alias in node.names)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "ISeedSequence"
+                  or isinstance(node, ast.Name) and node.id == "ISeedSequence"
+                  or isinstance(node, ast.ImportFrom) and any(alias.name == "ISeedSequence" for alias in node.names)]
     assert not found, f"SeedSequence used in {found}"
