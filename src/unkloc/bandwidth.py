@@ -64,8 +64,9 @@ def threshold_coefficient(value: complex, config: BandwidthConfig) -> complex:
 class DetectionOutcome:
     """Result of one detection run.
 
-    kept is the thresholded estimate over k = -B..B for the final B reached
-    (the stopping B, or b_max when the cap was hit); stop_residual is the
+    kept is the thresholded estimate over k = -B..B for the final B reached:
+    the stopping B, or the cap min(b_max, (M - 1) // 2) on M readings, past
+    which a harmonic aliases one already scanned; stop_residual is the
     signed gap sum |kept|^2 - E_g at that point.
     """
 
@@ -102,8 +103,8 @@ def detect_bandwidth(readings, config: BandwidthConfig) -> DetectionOutcome:
     kept: list[complex] = []  # k = 0..B
     total = 0.0
     detected_b = None
-    # zip pulls from the range first, so no harmonic past b_max is projected
-    for scan_b, a in zip(range(config.b_max + 1), harmonics(y)):
+    # zip pulls from the range first, so no harmonic past the cap is projected
+    for scan_b, a in zip(range(min(config.b_max, (y.size - 1) // 2) + 1), harmonics(y)):
         c = threshold_coefficient(a, config)
         kept.append(c)
         # |A[-B]| == |A[B]|: harmonics B and -B add the same energy

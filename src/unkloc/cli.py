@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .experiments import (
     ExperimentConfig,
     FieldSource,
+    _truth,
     detect,
     estimate,
     load_record,
@@ -91,7 +92,7 @@ def _simulated_readings(args, mode: str, **entries):
     config = _config(args, {"mode": mode, "field": {"source": "file", "path": args.field},
                             "renewal": {"family": "uniform"}, "noise": {"family": "zero"},
                             "n_grid": [args.n]}, **entries)
-    truth = config.field_source.resolve()
+    truth = _truth(config)
     return config, truth, simulate(config, truth, args.n, args.seed)
 
 

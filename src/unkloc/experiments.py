@@ -2,15 +2,15 @@
 
 Each mode is declared once, as one row of ``_MODES``.  Each (n, trial)
 cell gets its own 64-bit seed, the SeedSequence hash of (experiment seed,
-n, trial), and its Philox streams are the children of that seed.  A sweep
-worker hashes the seeds and stream keys of its share's cells at one n in
-one array call each, and re-keys one generator per stream for each cell;
-``run_cell`` hashes one cell and draws the same, so any cell can be
-replayed bit-exactly in isolation.  Both run a cell's trial through one
-function, ``_trial``.  A trial whose config is unrunnable at its n (a
-detection threshold that is not positive, or a law that hits the redraw
-bound) becomes NaN-valued rows rather than aborting the sweep; summary
-counts then show the surviving denominator.  Any other fault propagates.
+n, trial), and its Philox streams are the children of that seed.  One
+function runs cells, ``_run_cells``: it hashes a share's seeds and stream
+keys at one n in one array call each and re-keys one generator per stream
+for each cell.  A sweep worker's share is its slice of the cells, and
+``run_cell``'s is one cell, so any cell replays bit-exactly by the sweep's
+own lines.  A trial whose config is unrunnable at its n (a detection
+threshold that is not positive, or a law that hits the redraw bound)
+becomes NaN-valued rows rather than aborting the sweep; summary counts
+then show the surviving denominator.  Any other fault propagates.
 """
 
 from __future__ import annotations
@@ -107,16 +107,23 @@ class ExperimentConfig:
                               "renewal law; below it a trace can hold no sample")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "trials", whole("trials", self.trials, 1))
+        if self.trials > 2**32:  # a cell's trial is hashed as one 32-bit word
+            raise ConfigError(f"trials must be at most 2**32, got {self.trials}")
         object.__setattr__(self, "master_seed", whole("master_seed", self.master_seed))
         if self.known_b is not None:
             object.__setattr__(self, "known_b", whole("known_b", self.known_b, 0))
-            fewest = self.renewal._fewest(grid[0])  # M grid points resolve harmonics up to (M - 1)/2
-            if 2 * self.known_b + 1 > fewest:
-                raise ConfigError(f"known_b = {self.known_b} needs 2 known_b + 1 samples, but a trace at n = {grid[0]} "
-                                  f"may hold {fewest} (lam = {self.renewal.lam:g}); n_grid must start at n >= lam "
-                                  "and above lam (2 known_b + 1)")
+            self._resolves("known_b", self.known_b)
         # BandwidthConfig owns the delta and b_max rules; a probe applies them at load
         BandwidthConfig(delta=self.delta, sigma2=0.0, n=1, b_max=self.b_max)
+
+    def _resolves(self, name: str, b: int) -> None:
+        """Refuse an estimation bandwidth b that a trace at n_grid[0] may hold
+        too few samples for: M grid points resolve harmonics up to (M - 1)/2."""
+        fewest = self.renewal._fewest(self.n_grid[0])
+        if 2 * b + 1 > fewest:
+            raise ConfigError(f"{name} = {b} needs 2 {name} + 1 samples, but a trace at n = {self.n_grid[0]} "
+                              f"may hold {fewest} (lam = {self.renewal.lam:g}); n_grid must start at n >= lam "
+                              f"and above lam (2 {name} + 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -210,6 +217,16 @@ def estimate(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTra
     return estimate_field(trace.readings, truth.b if config.known_b is None else config.known_b)
 
 
+def _truth(config: ExperimentConfig) -> BandlimitedField:
+    """The config's truth field.  A mode that estimates at known_b estimates
+    at the truth's b when known_b is unset, and that b is held to known_b's
+    bound, which the load check cannot apply before the field resolves."""
+    truth = config.field_source.resolve()
+    if config.known_b is None and "known_b" in _MODES[config.mode].reads:
+        config._resolves("b", truth.b)
+    return truth
+
+
 def _distortion(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
     return (distortion(truth, estimate(config, truth, trace)),)
 
@@ -285,28 +302,20 @@ def _trial(config: ExperimentConfig, truth: BandlimitedField, n: int,
         return dict.fromkeys(mode.metrics, math.nan)
 
 
-def run_cell(config: ExperimentConfig, n: int, trial: int,
-             truth: BandlimitedField | None = None) -> tuple[int, dict[str, float]]:
+def run_cell(config: ExperimentConfig, n: int, trial: int) -> tuple[int, dict[str, float]]:
     """The seed of cell (n, trial) and its trial's metrics, which depend only
-    on (config, n, trial): that is what makes single-cell replay possible.
-    The seed and the streams are hashed for this one cell, on ints; the
-    sweep hashes a worker's cells at one n at once and draws the same.  A
-    truth that cannot be resolved raises; a trial whose config is
-    unrunnable at this n reads NaN, which keeps the denominator visible and
-    replays like any other value."""
-    if truth is None:
-        truth = config.field_source.resolve()
-    seed = trial_seed(config.master_seed, n, trial)
-    return seed, _trial(config, truth, n, spawn_rngs(seed, _streams(config)))
+    on (config, n, trial): the sweep's own lines run this one cell, so a
+    replayed row matches its sweep row by construction.  A truth that cannot
+    be resolved raises; an unrunnable trial reads NaN, as in a sweep."""
+    return _run_cells(config, _truth(config), [(n, trial)])[0]
 
 
 def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
                cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
-    """run_cell for each cell, in order: one worker's share of a sweep, which
-    is ordered by n first.  The seeds and the stream keys of the share's
-    cells at one n are hashed in one array call each; one generator per
-    stream is built for the share and re-keyed for each cell, which draws
-    what that cell's spawn_rngs would draw."""
+    """The seed and the metrics of each cell, in order: a sweep worker's
+    share, ordered by n first, or one cell to replay.  The seeds and the
+    stream keys of the share's cells at one n are hashed in one array call
+    each, and one generator per stream is re-keyed to each cell's key."""
     rngs = spawn_rngs(config.master_seed, _streams(config))  # any seed: every cell re-keys them
     out = []
     for n, share in itertools.groupby(cells, key=lambda cell: cell[0]):
@@ -326,7 +335,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     each of the others.  Every cell's seed is derived from the cell, so the
     rows are the same at any worker count."""
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    truth = config.field_source.resolve()
+    truth = _truth(config)
     workers = min(workers, len(cells))
     if workers > 1:
         # imported here: at module level they add about 14 ms to every CLI

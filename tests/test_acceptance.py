@@ -5,6 +5,9 @@ These are slower than the unit tests on purpose; together they rerun the
 main Monte Carlo results end to end from fixed seeds.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 from scipy.stats import binom, norm
 
@@ -248,24 +251,37 @@ def test_noiseless_regular_sampling_recovers_exactly():
     )
 
 
+def _noise_floor_terms(seeds, ks):
+    """1/M and |A[k]|^2 at each k for the pure-noise trial each seed draws."""
+    zero_field = BandlimitedField(b=3, coeffs=np.zeros(7, dtype=complex))
+    spec = RenewalSpec.uniform(10_000)
+    terms = []
+    for seed in seeds:
+        trace_rng, noise_rng = spawn_rngs(seed)
+        read = acquire(generate_trace(spec, trace_rng), zero_field, NoiseSpec.uniform_sym(1.0), noise_rng)
+        est = estimate_field(read.readings, 3)
+        terms.append((1.0 / read.m, *(abs(est.coefficient(k)) ** 2 for k in ks)))
+    return terms
+
+
 def test_coefficient_noise_floor_matches_variance_over_m():
     # pure-noise readings: E|A[k]|^2 should equal sigma^2 * E[1/M] per harmonic
-    zero_field = BandlimitedField(b=3, coeffs=np.zeros(7, dtype=complex))
-    noise = NoiseSpec.uniform_sym(1.0)
-    spec = RenewalSpec.uniform(10_000)
     trials = 10_000
     ks = (0, 1, 3)
+    seeds = trial_seed(777, 10_000, np.arange(trials)).tolist()
+    # forked workers run contiguous runs of trials; the sums below add them
+    # in trial order, so the ratios are those of one serial loop
+    workers = min(2, WORKERS)
+    runs = [seeds[trials * w // workers:trials * (w + 1) // workers] for w in range(workers)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        terms = [term for part in pool.map(_noise_floor_terms, runs, [ks] * workers) for term in part]
     acc = {k: 0.0 for k in ks}
     inv_m = 0.0
-    for trial in range(trials):
-        trace_rng, noise_rng = spawn_rngs(trial_seed(777, spec.n, trial))
-        trace = generate_trace(spec, trace_rng)
-        read = acquire(trace, zero_field, noise, noise_rng)
-        inv_m += 1.0 / read.m
-        est = estimate_field(read.readings, 3)
-        for k in ks:
-            acc[k] += abs(est.coefficient(k)) ** 2
-    target = noise.variance * (inv_m / trials)
+    for inv, *squares in terms:
+        inv_m += inv
+        for k, square in zip(ks, squares):
+            acc[k] += square
+    target = NoiseSpec.uniform_sym(1.0).variance * (inv_m / trials)
     ratios = {k: (acc[k] / trials) / target for k in ks}
     ok = all(0.9 < r < 1.1 for r in ratios.values())
     _report(

@@ -174,6 +174,15 @@ def test_cap_respects_custom_b_max():
     assert out.b_scanned == 2
 
 
+@pytest.mark.parametrize("m", [1, 2, 20, 21])
+def test_the_scan_stops_at_the_last_harmonic_the_grid_resolves(m):
+    # M grid points resolve harmonics up to (M - 1)/2; past it a harmonic is
+    # an alias of one already scanned, so a b_max beyond it caps there
+    out = detect_bandwidth(np.full(m, 0.5), _config(sigma2=5.0, n=2000, b_max=20000))
+    assert out.status == "CapReached"
+    assert out.kept.b == out.b_scanned == (m - 1) // 2
+
+
 @pytest.mark.parametrize("b_max, status, zeroed", [(5, "CapReached", 8), (64, "Stopped", 20)])
 def test_each_scanned_harmonic_is_thresholded_once(monkeypatch, b_max, status, zeroed):
     # A[-k] is the conjugate of A[k], so one decision keeps or zeroes both;

@@ -414,10 +414,11 @@ def test_energy_sweep_whose_squared_error_overflows_reads_inf(sweep_config, tmp_
 
 def test_sweep_on_a_field_near_the_energy_limit_runs(sweep_config, tmp_path):
     # the file's energy 1.62e308 is finite, but at these n estimates overflow
-    # their own energy sum; they must still score (inf or huge distortion rows)
+    # their own energy sum; they must still score (inf or huge distortion rows).
+    # n = 7 is the first n at which a trace may hold the 3 samples b = 1 needs
     field = tmp_path / "near.json"
     field.write_text('{"b": 1, "coeffs": [[9e153, 0], [0, 0], [9e153, 0]]}')
-    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "n_grid": [3, 5, 8],
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "n_grid": [7, 8, 9],
                                         "trials": 10, "field": {"source": "file", "path": str(field)}}))
     assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_OK
 
@@ -527,6 +528,7 @@ def test_unread_entries_exit_usage(paper2_file, sweep_config, tmp_path, capsys, 
     ("estimate", ["--n", "1"]),  # uniform: lam = 2
     ("detect", ["--n", "1500", "--renewal", "scaled_beta", "--alpha", "1e-3"]),  # lam = 2001
     ("estimate", ["--n", "1000", "--b", "400000"]),  # a trace may hold 499 samples, and b needs 2b + 1
+    ("estimate", ["--n", "40"]),  # with no --b the truth's b = 12 needs 25 samples; a trace may hold 19
 ])
 def test_simulation_refuses_n_below_lambda(paper2_file, capsys, command, flags):
     # the rule sweep configs already follow: below lam a trace can hold no sample
@@ -713,6 +715,32 @@ def test_replay_exits_usage_on_a_field_file_that_cannot_load(sweep_config, tmp_p
                  *(["--rows", str(rows)] if with_rows else [])]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "bandwidth b" in captured.err and captured.out == ""
+
+
+def test_sweep_and_replay_refuse_a_truth_whose_b_the_grid_cannot_resolve(sweep_config, tmp_path, capsys):
+    # with no known_b a DistortionSweep estimates at the truth's b; at n = 200
+    # a trace may hold 99 samples, too few for b = 50, as for known_b = 50
+    field = tmp_path / "wide.json"
+    BandlimitedField.from_half([0.1] + [0.0] * 49 + [0.2]).save(field)
+    record = {**json.loads(sweep_config.read_text()), "field": {"source": "file", "path": str(field)}}
+    sweep_config.write_text(json.dumps(record))
+    for argv in (["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")],
+                 ["replay", "--config", str(sweep_config), "--n", "400", "--trial", "1"]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "b = 50 needs 2 b + 1 samples, but a trace at n = 200 may hold 99" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+    sweep_config.write_text(json.dumps({**record, "known_b": 49}))  # a known_b the grid resolves runs
+    assert main(["replay", "--config", str(sweep_config), "--n", "400", "--trial", "1"]) == EXIT_OK
+
+
+def test_replay_refuses_a_trial_past_the_seed_word(sweep_config, capsys):
+    # a cell's trial is hashed as one 32-bit word, so a config may not hold
+    # a trial 2**32; the sweep is refused at load and never runs
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()), "trials": 2**32 + 2}))
+    assert main(["replay", "--config", str(sweep_config), "--n", "200", "--trial", str(2**32)]) == EXIT_USAGE
+    assert "trials must be at most 2**32" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,16 @@ def test_config_rejects_grid_below_lambda():
     assert _config(known_b=49).known_b == 49
 
 
+def test_config_rejects_more_trials_than_the_seed_word_counts():
+    # a cell's trial is hashed as one 32-bit word; a config is only loaded
+    # here, since a sweep of 2**32 trials would list more than 4e9 cells
+    assert _config(trials=2**32).trials == 2**32
+    with pytest.raises(ConfigError, match="trials must be at most 2[*][*]32, got 4294967297"):
+        _config(trials=2**32 + 1)
+    with pytest.raises(ValueError, match="below 2[*][*]32"):  # replay hashes a cell as the sweep does
+        run_cell(_config(trials=2**32), 200, 2**32)
+
+
 def test_config_rejects_unknown_mode():
     for mode in ("Sweep", "RiemannError"):
         with pytest.raises(ConfigError, match="unknown mode"):
@@ -453,12 +463,11 @@ def test_distortion_trial_allocates_about_three_readings_arrays():
     # (which become the readings) and the noise draw are the only arrays
     # as long as the readings; a trial that also copies them takes about 8x
     cfg = _config(n_grid=(100_000,), trials=1)
-    truth = cfg.field_source.resolve()
     rng_trace, _ = spawn_rngs(trial_seed(cfg.master_seed, 100_000, 0))
     readings_bytes = 8 * generate_trace(cfg.renewal.at(100_000), rng_trace).m
     tracemalloc.start()
     try:
-        run_cell(cfg, 100_000, 0, truth)
+        run_cell(cfg, 100_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

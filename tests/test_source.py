@@ -78,3 +78,17 @@ def test_only_the_sampling_hash_makes_seeds():
                   or isinstance(node, ast.Name) and node.id == "ISeedSequence"
                   or isinstance(node, ast.ImportFrom) and any(alias.name == "ISeedSequence" for alias in node.names)]
     assert not found, f"SeedSequence used in {found}"
+
+
+def test_only_the_cell_runner_seeds_and_keys_streams():
+    # a sweep worker and a replay run their cells through _run_cells, so a
+    # replayed row matches its sweep row by construction; a second caller
+    # of the hash or of the re-keying in experiments.py would be a second
+    # path that only tests keep in step with the first
+    tree = ast.parse((SOURCE / "experiments.py").read_text())
+    runner = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "_run_cells" for node in ast.walk(top)}
+    found = [f"experiments.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("trial_seed", "stream_keys", "rekey") and id(node) not in runner]
+    assert runner and not found, f"seeds or stream keys made outside _run_cells in {found}"
