@@ -251,38 +251,42 @@ def test_noiseless_regular_sampling_recovers_exactly():
     )
 
 
-def _noise_floor_terms(seeds, ks):
-    """1/M and |A[k]|^2 at each k for the pure-noise trial each seed draws."""
+# the noise-floor test's pure-noise trials: their density, and the harmonics it reads
+FLOOR_N, FLOOR_KS = 10_000, (0, 1, 3)
+
+
+def _noise_floor_terms(seeds):
+    """1/M and |A[k]|^2 at each k of FLOOR_KS for the pure-noise trial each seed draws."""
     zero_field = BandlimitedField(b=3, coeffs=np.zeros(7, dtype=complex))
-    spec = RenewalSpec.uniform(10_000)
+    noise = NoiseSpec.uniform_sym(1.0)
+    spec = RenewalSpec.uniform(FLOOR_N)
     terms = []
     for seed in seeds:
         trace_rng, noise_rng = spawn_rngs(seed)
-        read = acquire(generate_trace(spec, trace_rng), zero_field, NoiseSpec.uniform_sym(1.0), noise_rng)
+        read = acquire(generate_trace(spec, trace_rng), zero_field, noise, noise_rng)
         est = estimate_field(read.readings, 3)
-        terms.append((1.0 / read.m, *(abs(est.coefficient(k)) ** 2 for k in ks)))
+        terms.append((1.0 / read.m, *(abs(est.coefficient(k)) ** 2 for k in FLOOR_KS)))
     return terms
 
 
 def test_coefficient_noise_floor_matches_variance_over_m():
     # pure-noise readings: E|A[k]|^2 should equal sigma^2 * E[1/M] per harmonic
     trials = 10_000
-    ks = (0, 1, 3)
-    seeds = trial_seed(777, 10_000, np.arange(trials)).tolist()
-    # forked workers run contiguous runs of trials; the sums below add them
-    # in trial order, so the ratios are those of one serial loop
+    seeds = trial_seed(777, FLOOR_N, np.arange(trials)).tolist()
+    # forked workers, as in a sweep, run contiguous runs of trials; the sums
+    # below add them in trial order, so the ratios are those of one serial loop
     workers = min(2, WORKERS)
     runs = [seeds[trials * w // workers:trials * (w + 1) // workers] for w in range(workers)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        terms = [term for part in pool.map(_noise_floor_terms, runs, [ks] * workers) for term in part]
-    acc = {k: 0.0 for k in ks}
+        terms = [term for part in pool.map(_noise_floor_terms, runs) for term in part]
+    acc = {k: 0.0 for k in FLOOR_KS}
     inv_m = 0.0
     for inv, *squares in terms:
         inv_m += inv
-        for k, square in zip(ks, squares):
+        for k, square in zip(FLOOR_KS, squares):
             acc[k] += square
     target = NoiseSpec.uniform_sym(1.0).variance * (inv_m / trials)
-    ratios = {k: (acc[k] / trials) / target for k in ks}
+    ratios = {k: (acc[k] / trials) / target for k in FLOOR_KS}
     ok = all(0.9 < r < 1.1 for r in ratios.values())
     _report(
         "estimator noise floor",
