@@ -19,9 +19,11 @@ import csv
 import itertools
 import json
 import math
+import os
+import pickle
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -327,31 +329,85 @@ def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
     return out
 
 
+def _work(write: int, reads: list[int], config: ExperimentConfig, truth: BandlimitedField,
+          share: list[tuple[int, int]]) -> NoReturn:
+    """A forked sweep worker: run the share and write one pickled (ok,
+    outcomes or fault) payload to the pipe.  It leaves by os._exit in every
+    path, so the caller's atexit handlers, finally blocks and buffered output
+    run once, in the caller.  A fault that would not come back out of pickle
+    is sent as a RuntimeError that carries the worker's traceback."""
+    code = 1
+    try:
+        for read in reads:  # its own and its elder siblings' read ends
+            os.close(read)
+        try:
+            payload = (True, _run_cells(config, truth, share))
+        except BaseException as exc:
+            fault = exc
+            try:
+                pickle.loads(pickle.dumps(fault))
+            except Exception:
+                import traceback  # here, not at the top: only this path needs it, and start-up would pay 1.5 ms
+
+                fault = RuntimeError("".join(traceback.format_exception(exc)))
+            payload = (False, fault)
+        data = pickle.dumps(payload)  # whole before the first byte goes out
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full sweep over config.n_grid x config.trials.
 
     With workers > 1, each of min(workers, cells) workers runs one
-    interleaved slice of the cells: this process the first, a forked process
-    each of the others.  Every cell's seed is derived from the cell, so the
-    rows are the same at any worker count."""
+    interleaved slice of the cells: this process the first, and a child made
+    by os.fork each of the others.  A child inherits the config, the truth,
+    its share and any patched layer, so nothing is pickled in; its outcomes
+    come back pickled over a pipe, and its fault is raised here.  A worker
+    that dies before it sends them raises a RuntimeError that names it.
+    Every cell's seed is derived from the cell, so the rows are the same at
+    any worker count."""
     cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
     truth = _truth(config)
-    workers = min(workers, len(cells))
-    if workers > 1:
-        # imported here: at module level they add about 14 ms to every CLI
-        # start-up.  A forked worker inherits this process's modules, patched
-        # layers included, and a trial's fault reaches the caller.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        outcomes = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = [pool.submit(_run_cells, config, truth, cells[w::workers]) for w in range(1, workers)]
-            outcomes[::workers] = _run_cells(config, truth, cells[::workers])
-            for w, part in enumerate(parts, 1):
-                outcomes[w::workers] = part.result()
-    else:
-        outcomes = _run_cells(config, truth, cells)
+    workers = max(1, min(workers, len(cells)))
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"a sweep over {workers} workers forks them, and this platform has no os.fork; "
+                          "run it with one worker")
+    outcomes = [None] * len(cells)
+    reads, pids = [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(write, reads, config, truth, cells[w::workers])
+            os.close(write)  # a later child must not hold it, or this read end never meets EOF
+            pids.append(pid)
+        outcomes[::workers] = _run_cells(config, truth, cells[::workers])
+        payloads = []
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for read in reads:  # first: a worker still writing gets EPIPE, not a wait on this process
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for w, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        if not payload:
+            raise RuntimeError(f"sweep worker {w} of {workers} sent no outcomes; it ended with exit code "
+                               f"{os.waitstatus_to_exitcode(status)}")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        outcomes[w::workers] = value
     metric_names = _MODES[config.mode].metrics
     rows = tuple(
         TrialRow(n=n, trial=t, seed=seed, metric=name, value=float(values[name]))

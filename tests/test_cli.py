@@ -255,15 +255,46 @@ def test_sweep_output_is_identical_at_any_worker_count(sweep_config, tmp_path, m
 
 
 def test_sweep_trial_fault_in_a_worker_exits_fault(sweep_config, tmp_path, monkeypatch, capsys):
-    # a forked worker inherits the patched layer; its fault reaches the CLI
+    # a forked worker inherits the patched layer; its fault reaches the CLI.
+    # Only the worker faults, as the caller's own share would fault first.
+    parent, real = os.getpid(), experiments.estimate_field
+
     def broken(readings, b):
-        raise RuntimeError("estimator bug")
+        if os.getpid() != parent:
+            raise RuntimeError("estimator bug")
+        return real(readings, b)
 
     monkeypatch.setattr(experiments, "estimate_field", broken)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a pool even on a one-CPU host
     monkeypatch.setenv("UNKLOC_THREADS", "2")
     assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_FAULT
     assert "estimator bug" in capsys.readouterr().err
+
+
+def test_sweep_worker_that_dies_unheard_exits_fault(sweep_config, tmp_path, monkeypatch, capsys):
+    parent, real = os.getpid(), experiments.estimate_field
+
+    def dying(readings, b):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real(readings, b)
+
+    monkeypatch.setattr(experiments, "estimate_field", dying)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("UNKLOC_THREADS", "2")
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_FAULT
+    assert "sweep worker 1 of 2 sent no outcomes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_workers_without_fork_are_a_usage_error(sweep_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("UNKLOC_THREADS", "2")
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "os.fork" in capsys.readouterr().err
 
 
 def test_sweep_env_var_must_be_integer(sweep_config, tmp_path, monkeypatch, capsys):
@@ -988,11 +1019,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def _interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
-    """code run with args in a new interpreter that imports this unkloc."""
+def _interpreter(code: str, *args: str, flags: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
+    """code run with args in a new interpreter, started with flags and with
+    env added to its environment, that imports this unkloc."""
     src = str(Path(unkloc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env}
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=60)
 
 
@@ -1017,6 +1049,17 @@ def test_one_worker_sweep_leaves_the_process_pool_unloaded():
             "'trials': 2}), workers=1); "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_forked_sweep_under_python_O_writes_the_serial_bytes(sweep_config, tmp_path):
+    # a fresh interpreter with asserts stripped, whose sweep forks even on a one-CPU host
+    code = ("import sys; from unkloc import cli; cli._usable_cpus = lambda: 2; "
+            "raise SystemExit(cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    for threads in ("1", "2"):
+        proc = _interpreter(code, str(sweep_config), str(tmp_path / threads), flags=("-O",), UNKLOC_THREADS=threads)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("rows.csv", "slope.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_help_exits_clean(capsys):

@@ -1,8 +1,10 @@
 """Sweep harness: seeding, replay, summaries, slope fits, fault rows."""
 
-import concurrent.futures
 import json
 import math
+import os
+import pickle
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -318,17 +320,94 @@ def test_run_matches_serial_at_any_worker_count():
 
 
 def test_run_forks_no_more_workers_than_cells(monkeypatch):
-    sizes = []
-    pool = concurrent.futures.ProcessPoolExecutor
+    forks = []
+    fork = os.fork
 
-    def recording(max_workers=None, **kw):
-        sizes.append(max_workers)
-        return pool(max_workers=max_workers, **kw)
+    def counting():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(os, "fork", counting)
     cfg = _config(n_grid=(200,), trials=2)
     assert run(cfg, workers=8).rows == run(cfg).rows
-    assert sizes == [1]  # this process runs the first of the two cells
+    assert len(forks) == 1  # this process runs the first of the two cells
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # a running or unreaped child would be found
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _gridgap(**kw):
+    return _config(mode="GridDeviation", noise=NoiseSpec.from_dict({"family": "zero"}), **kw)
+
+
+def _faulting_in(where, fault, monkeypatch):
+    """Patch the grid-gap layer to raise fault() in this process ("parent")
+    or only in a forked worker ("worker")."""
+    parent, real = os.getpid(), experiments.grid_deviation
+
+    def layer(trace):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise fault()
+        return real(trace)
+
+    monkeypatch.setattr(experiments, "grid_deviation", layer)
+
+
+def test_a_fault_in_the_callers_share_does_not_wait_on_a_full_pipe(monkeypatch):
+    # the worker's outcomes overfill the pipe, so it blocks writing until the
+    # caller closes its read end; waiting on the worker first would hang
+    cfg = _gridgap(n_grid=(100,), trials=8000)
+    cells = [(100, t) for t in range(cfg.trials)]
+    held = pickle.dumps((True, experiments._run_cells(cfg, experiments._truth(cfg), cells[1::2])))
+    assert len(held) > 64 * 1024
+    _faulting_in("parent", lambda: RuntimeError("caller share bug"), monkeypatch)
+
+    def hung(signum, frame):
+        raise TimeoutError("run() still waits on its worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="caller share bug"):
+            run(cfg, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+
+
+def test_a_worker_fault_reaches_the_caller(monkeypatch):
+    class WorkerOnly(Exception):  # local to this test, so pickle cannot carry it
+        pass
+
+    cfg = _gridgap(n_grid=(100, 200), trials=3)
+    _faulting_in("worker", lambda: ZeroDivisionError("worker share bug"), monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="worker share bug"):
+        run(cfg, workers=2)
+    _assert_no_child_left()
+    _faulting_in("worker", lambda: WorkerOnly("unpicklable worker bug"), monkeypatch)
+    with pytest.raises(RuntimeError, match="unpicklable worker bug") as caught:
+        run(cfg, workers=2)
+    assert "Traceback" in str(caught.value) and "WorkerOnly" in str(caught.value)
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_unheard_is_named(monkeypatch):
+    _faulting_in("worker", lambda: os._exit(7), monkeypatch)
+    with pytest.raises(RuntimeError, match="sweep worker 1 of 2 sent no outcomes; it ended with exit code 7"):
+        run(_gridgap(n_grid=(100,), trials=3), workers=2)
+    _assert_no_child_left()
+
+
+def test_more_than_one_worker_needs_fork(monkeypatch):
+    cfg = _gridgap(n_grid=(100,), trials=3)
+    serial = run(cfg).rows
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ConfigError, match="os.fork"):
+        run(cfg, workers=2)
+    assert run(cfg, workers=1).rows == serial
 
 
 def test_single_cell_replay_matches_sweep_row():
