@@ -336,27 +336,23 @@ def _work(write: int, reads: list[int], config: ExperimentConfig, truth: Bandlim
     path, so the caller's atexit handlers, finally blocks and buffered output
     run once, in the caller.  A fault that would not come back out of pickle
     is sent as a RuntimeError that carries the worker's traceback."""
-    code = 1
     try:
         for read in reads:  # its own and its elder siblings' read ends
             os.close(read)
         try:
             payload = (True, _run_cells(config, truth, share))
         except BaseException as exc:
-            fault = exc
             try:
-                pickle.loads(pickle.dumps(fault))
+                payload = (False, pickle.loads(pickle.dumps(exc)))
             except Exception:
                 import traceback  # here, not at the top: only this path needs it, and start-up would pay 1.5 ms
 
-                fault = RuntimeError("".join(traceback.format_exception(exc)))
-            payload = (False, fault)
-        data = pickle.dumps(payload)  # whole before the first byte goes out
+                payload = (False, RuntimeError("".join(traceback.format_exception(exc))))
         with open(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
+            pipe.write(pickle.dumps(payload))  # whole before the first byte goes out
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:

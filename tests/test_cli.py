@@ -1019,11 +1019,10 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def _interpreter(code: str, *args: str, flags: tuple[str, ...] = (), **env: str) -> subprocess.CompletedProcess:
-    """code run with args in a new interpreter, started with flags and with
-    env added to its environment, that imports this unkloc."""
+def _interpreter(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """code run with args in a new interpreter, started with flags, that imports this unkloc."""
     src = str(Path(unkloc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=60)
 
@@ -1052,12 +1051,16 @@ def test_one_worker_sweep_leaves_the_process_pool_unloaded():
 
 
 def test_forked_sweep_under_python_O_writes_the_serial_bytes(sweep_config, tmp_path):
-    # a fresh interpreter with asserts stripped, whose sweep forks even on a one-CPU host
-    code = ("import sys; from unkloc import cli; cli._usable_cpus = lambda: 2; "
-            "raise SystemExit(cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]]))")
-    for threads in ("1", "2"):
-        proc = _interpreter(code, str(sweep_config), str(tmp_path / threads), flags=("-O",), UNKLOC_THREADS=threads)
-        assert proc.returncode == EXIT_OK, proc.stderr
+    # one fresh interpreter with asserts stripped sweeps at UNKLOC_THREADS 1
+    # and 2, and forks even on a one-CPU host
+    code = ("import os, sys; from unkloc import cli; cli._usable_cpus = lambda: 2\n"
+            "for threads in ('1', '2'):\n"
+            "    os.environ['UNKLOC_THREADS'] = threads\n"
+            "    code = cli.main(['sweep', '--config', sys.argv[1], '--out', os.path.join(sys.argv[2], threads)])\n"
+            "    if code:\n"
+            "        raise SystemExit(code)")
+    proc = _interpreter(code, str(sweep_config), str(tmp_path), flags=("-O",))
+    assert proc.returncode == EXIT_OK, proc.stderr
     for name in ("rows.csv", "slope.json"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
