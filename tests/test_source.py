@@ -98,11 +98,10 @@ def test_no_module_imports_a_process_pool():
     # a sweep forks its workers with os.fork and reads their outcomes from
     # pipes; a pool would pickle the config, the truth and the cells into
     # each worker, and its modules cost every start-up about 14 ms
-    pools = ("multiprocessing", "concurrent")
-    found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
-                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] in pools]
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+             if name.partition(".")[0] in ("multiprocessing", "concurrent")]
     assert not found, f"process pool modules imported in {found}"
