@@ -21,7 +21,10 @@ import json
 import math
 import os
 import pickle
+import select
+import threading
 from dataclasses import MISSING, dataclass, fields
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
@@ -168,8 +171,7 @@ def load_record(path) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):  # a tuple: a sweep builds one per cell and metric, at a third of a dataclass's cost
     n: int
     trial: int
     seed: int
@@ -329,16 +331,31 @@ def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
     return out
 
 
+def _orphaned(write: int) -> NoReturn:
+    """Leave this forked worker once no process reads its pipe: Linux reports
+    POLLERR on a pipe's write end when the last read end closes, which the
+    caller's does when it dies or stops waiting.  A thread blocked here holds
+    no GIL and costs the share nothing."""
+    watch = select.poll()
+    watch.register(write, 0)  # no event asked for: it wakes on POLLERR or POLLHUP alone
+    watch.poll()
+    os._exit(1)
+
+
 def _work(write: int, reads: list[int], config: ExperimentConfig, truth: BandlimitedField,
           share: list[tuple[int, int]]) -> NoReturn:
     """A forked sweep worker: run the share and write one pickled (ok,
     outcomes or fault) payload to the pipe.  It leaves by os._exit in every
     path, so the caller's atexit handlers, finally blocks and buffered output
-    run once, in the caller.  A fault that would not come back out of pickle
-    is sent as a RuntimeError that carries the worker's traceback."""
+    run once, in the caller, and it leaves as soon as its caller is gone.  It
+    keeps its write end open until it exits, so the caller meets EOF, and
+    closes its read end, only once the worker is done.  A fault that would
+    not come back out of pickle is sent as a RuntimeError that carries the
+    worker's traceback."""
     try:
         for read in reads:  # its own and its elder siblings' read ends
             os.close(read)
+        threading.Thread(target=_orphaned, args=(write,), daemon=True).start()
         try:
             payload = (True, _run_cells(config, truth, share))
         except BaseException as exc:
@@ -348,7 +365,7 @@ def _work(write: int, reads: list[int], config: ExperimentConfig, truth: Bandlim
                 import traceback  # here, not at the top: only this path needs it, and start-up would pay 1.5 ms
 
                 payload = (False, RuntimeError("".join(traceback.format_exception(exc))))
-        with open(write, "wb") as pipe:
+        with open(write, "wb", closefd=False) as pipe:
             pipe.write(pickle.dumps(payload))  # whole before the first byte goes out
         os._exit(0)
     finally:
@@ -406,7 +423,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         outcomes[w::workers] = value
     metric_names = _MODES[config.mode].metrics
     rows = tuple(
-        TrialRow(n=n, trial=t, seed=seed, metric=name, value=float(values[name]))
+        TrialRow(n, t, seed, name, float(values[name]))
         for (n, t), (seed, values) in zip(cells, outcomes)
         for name in metric_names
     )
@@ -451,7 +468,7 @@ def _fit_primary_slope(config: ExperimentConfig,
 
 
 def fit_loglog_slope(points) -> SlopeFit:
-    """OLS slope of log(mean) on log(n) with a 95% confidence interval.
+    """OLS slope of log(mean) on log(n) with a 95% Student-t confidence interval.
 
     Needs >= 3 points at distinct, positive n with positive, finite means;
     offending n values are named in the error.
@@ -475,11 +492,61 @@ def fit_loglog_slope(points) -> SlopeFit:
     resid = y - (intercept + slope * x)
     dof = len(pts) - 2
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
-    # scipy.stats costs about a second to import; only slope fits need it
-    from scipy.stats import t as student_t
-
-    half = float(student_t.ppf(0.975, dof)) * se
+    half = _t975(dof) * se
     return SlopeFit(slope=slope, ci_low=slope - half, ci_high=slope + half)
+
+
+# π to 64 digits, and the sizes below which a Taylor term and a Newton step
+# of _t975 end their loops, for its 50-digit arithmetic
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+_TERM_END, _STEP_END = Decimal("1e-52"), Decimal("1e-40")
+
+
+def _sincos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x, for 0 <= x < 2, by their Taylor series in the
+    current decimal context."""
+    minus_sq, k = -x * x, 0
+    sin = s_term = x
+    cos = c_term = Decimal(1)
+    while abs(c_term) > _TERM_END:
+        k += 2
+        c_term *= minus_sq / ((k - 1) * k)
+        s_term *= minus_sq / (k * (k + 1))
+        sin += s_term
+        cos += c_term
+    return sin, cos
+
+
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with dof >= 1 degrees of freedom,
+    correctly rounded.
+
+    With t = sqrt(dof) tan θ and c = cos θ, the mass P(|T| <= t) is a finite
+    series (Abramowitz and Stegun 26.7.3 and 26.7.4):
+        odd dof:  (2/π) (θ + sin θ (c + 2/3 c³ + ... + 2·4···(dof-3) / (1·3···(dof-2)) c^(dof-2)))
+        even dof: sin θ (1 + 1/2 c² + ... + 1·3···(dof-3) / (2·4···(dof-2)) c^(dof-2))
+    and its θ-derivative is the series' next term times dof / c (and 2/π
+    for odd dof).  The mass is concave in θ on [0, π/2), so Newton steps from
+    θ = 0 rise to the root of mass = 0.95 without overshooting.  They run in
+    50-digit decimal arithmetic, and float() rounds the result once.  The
+    cost is linear in dof: about 0.3 ms at dof 10 and 5 ms at dof 1000."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        theta, step = Decimal(0), 1
+        while abs(step) > _STEP_END:
+            sin, cos = _sincos(theta)
+            total, term = 0, cos if dof % 2 else Decimal(1)
+            for j in range(dof % 2 + 2, dof + 1, 2):
+                total += term
+                term *= cos * cos * (j - 1) / j
+            if dof % 2:
+                mass, slope = 2 * (theta + sin * total) / _PI, 2 * term * dof / cos / _PI
+            else:
+                mass, slope = sin * total, term * dof / cos
+            step = (Decimal("0.95") - mass) / slope
+            theta += step
+        # sin and cos are at the θ before the last step, which is within 1e-40 of the root
+        return float(Decimal(dof).sqrt() * sin / cos)
 
 
 # CSV / JSON emission -------------------------------------------------------

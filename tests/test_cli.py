@@ -983,11 +983,13 @@ PINNED_SWEEPS = {
     "energy_large": ({"mode": "EnergyMSE", "field": {"source": "random", "b": 12, "seed": 3}},
                      ["--n", "12289,20000", "--trials", "2", "--seed", "11", "--noise", "uniform:0.5"]),
 }
+# the distortion and energy slope.json entries (index 2) moved once the
+# interval's t quantile was computed correctly rounded, without scipy
 PINNED_SWEEP_DIGESTS = {
-    "distortion": ("6147d76ec69ec0a3", "b47233b50d8bb077", "5cda6485d126cb10"),
+    "distortion": ("6147d76ec69ec0a3", "b47233b50d8bb077", "04e2187e9728ac82"),
     "bandwidth": ("15799e938ce0b861", "92938cf418f67134", "a5fdfe006dc29e2d"),
     "grid": ("17b83979ed2d5752", "fd91699a308b23e5", "a5fdfe006dc29e2d"),
-    "energy": ("cb48da0ee1576133", "915ac0ddc7db33c5", "071c01c0cdb8565b"),
+    "energy": ("cb48da0ee1576133", "915ac0ddc7db33c5", "72511b0729c992ca"),
     "distortion_large": ("f09b3c6bdcdd6228", "78da3145ec891d40", "70cd43a315525f3e"),
     "energy_large": ("96497f8fe485420d", "a1f82618d790cceb", "70cd43a315525f3e"),
 }
@@ -1035,9 +1037,14 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import and only slope fits use it,
-    # so commands like replay must not pay for it at start-up
-    assert _fresh_interpreter("import sys, unkloc.cli; print('scipy.stats' in sys.modules)") == "False"
+    # a slope fit computes its own t quantile: scipy.stats cost a sweep about
+    # 70 MiB and 1.4 s to import, and no command may pay for any of scipy
+    code = ("import sys, unkloc.cli; from unkloc.experiments import ExperimentConfig, run; "
+            "result = run(ExperimentConfig.from_dict({'mode': 'DistortionSweep', 'field': {'source': 'paper1'}, "
+            "'renewal': {'family': 'uniform'}, 'noise': {'family': 'uniform', 'params': [1.0]}, "
+            "'n_grid': [200, 400, 800], 'trials': 2})); "
+            "print(result.slope is not None, sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == "True []"
 
 
 def test_one_worker_sweep_leaves_the_process_pool_unloaded():

@@ -5,6 +5,10 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -105,6 +109,43 @@ def test_slope_rejects_short_input():
         fit_loglog_slope([(10, 1.0), (10, 2.0), (10, 3.0)])
     with pytest.raises(ValueError, match=r"repeated n: \[20\]"):
         fit_loglog_slope([(10, 1.0), (20, 2.0), (20, 3.0), (40, 1.0)])
+
+
+# t_{0.975, dof} computed by mpmath at 60 digits, rounded to the nearest double
+T975 = {1: 12.706204736174705, 2: 4.302652729749464, 3: 3.1824463052837095, 10: 2.228138851986275,
+        60: 2.0002978220142604, 1000: 1.9623390808264085}
+
+
+@pytest.mark.parametrize("dof", T975)
+def test_t_quantile_is_correctly_rounded(dof):
+    assert experiments._t975(dof) == T975[dof]
+
+
+def test_t_quantile_agrees_with_scipy():
+    # scipy's stdtrit is not correctly rounded: 6 ulp low at dof 1, 19 off at dof 6
+    stdtrit = pytest.importorskip("scipy.special").stdtrit
+    far = [dof for dof in range(1, 201)
+           if abs(experiments._t975(dof) - float(stdtrit(dof, 0.975))) > 32 * math.ulp(experiments._t975(dof))]
+    assert not far, f"more than 32 ulp from scipy at dof {far}"
+
+
+def test_t_quantile_is_correctly_rounded_at_every_small_dof():
+    mpmath = pytest.importorskip("mpmath")
+    wrong = []
+    with mpmath.workdps(60):
+        for dof in range(1, 201):
+            # P(|T| <= t) = 1 - I_x(dof/2, 1/2) at x = dof / (dof + t²); every quantile lies in [1.9, 13]
+            root = mpmath.findroot(lambda t: mpmath.betainc(dof / 2, 0.5, 0, dof / (dof + t * t), regularized=True)
+                                   - mpmath.mpf("0.05"), (1.9, 13), solver="anderson")
+            if experiments._t975(dof) != float(root):
+                wrong.append(dof)
+    assert not wrong, f"not the nearest double at dof {wrong}"
+
+
+def test_t_quantile_is_cheap():
+    # a sweep fits one slope, at dof = its grid points less 2
+    for dof, budget in ((10, 1e-3), (1000, 0.1)):
+        assert min(timeit.repeat(lambda: experiments._t975(dof), number=1, repeat=5)) <= budget, dof
 
 
 # config ----------------------------------------------------------------------
@@ -399,6 +440,53 @@ def test_a_worker_that_dies_unheard_is_named(monkeypatch):
     with pytest.raises(RuntimeError, match="sweep worker 1 of 2 sent no outcomes; it ended with exit code 7"):
         run(_gridgap(n_grid=(100,), trials=3), workers=2)
     _assert_no_child_left()
+
+
+def _gone(pid):
+    """Whether pid has exited: a zombie that no reaper has collected counts."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux: POLLERR on an unread pipe and /proc")
+def test_a_worker_leaves_once_its_caller_is_killed():
+    # the caller prints its worker's pid and runs its share of a sweep that
+    # would take minutes; once it is killed, the worker has nothing to send
+    # its outcomes to, and must not run on to the end of its share
+    code = ("import os; from unkloc.experiments import ExperimentConfig, run\n"
+            "fork = os.fork\n"
+            "def announced():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = announced\n"
+            "run(ExperimentConfig.from_dict({'mode': 'GridDeviation', 'field': {'source': 'paper1'}, "
+            "'renewal': {'family': 'uniform'}, 'noise': {'family': 'zero'}, 'n_grid': [200000], "
+            "'trials': 100000}), workers=2)")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    caller = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env)
+    worker = None
+    try:
+        worker = int(caller.stdout.readline())
+        time.sleep(0.3)  # both halves are running their shares
+        assert not _gone(worker)
+        caller.kill()
+        caller.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while not _gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _gone(worker), "the worker outlived its killed caller by 2 s"
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+        caller.stdout.close()
+        if worker is not None and not _gone(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_more_than_one_worker_needs_fork(monkeypatch):

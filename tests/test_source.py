@@ -105,3 +105,16 @@ def test_no_module_imports_a_process_pool():
                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
              if name.partition(".")[0] in ("multiprocessing", "concurrent")]
     assert not found, f"process pool modules imported in {found}"
+
+
+def test_no_module_imports_scipy():
+    # a slope fit computes its t quantile itself, correctly rounded; scipy.stats
+    # cost a sweep about 70 MiB and 1.4 s to import, and its bits follow the
+    # installed version.  numpy is the package's one runtime dependency
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+             if name.partition(".")[0] == "scipy"]
+    assert not found, f"scipy imported in {found}"
