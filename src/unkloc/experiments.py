@@ -331,15 +331,16 @@ def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
     return out
 
 
-def _orphaned(write: int) -> NoReturn:
+def _orphaned(write: int) -> None:
     """Leave this forked worker once no process reads its pipe: Linux reports
     POLLERR on a pipe's write end when the last read end closes, which the
     caller's does when it dies or stops waiting.  A thread blocked here holds
-    no GIL and costs the share nothing."""
+    no GIL and costs the share nothing; where poll wakes for anything else,
+    it ends and the worker runs on as if unwatched."""
     watch = select.poll()
     watch.register(write, 0)  # no event asked for: it wakes on POLLERR or POLLHUP alone
-    watch.poll()
-    os._exit(1)
+    if any(events & (select.POLLERR | select.POLLHUP) for _, events in watch.poll()):
+        os._exit(1)
 
 
 def _work(write: int, reads: list[int], config: ExperimentConfig, truth: BandlimitedField,
@@ -528,8 +529,8 @@ def _t975(dof: int) -> float:
     and its θ-derivative is the series' next term times dof / c (and 2/π
     for odd dof).  The mass is concave in θ on [0, π/2), so Newton steps from
     θ = 0 rise to the root of mass = 0.95 without overshooting.  They run in
-    50-digit decimal arithmetic, and float() rounds the result once.  The
-    cost is linear in dof: about 0.3 ms at dof 10 and 5 ms at dof 1000."""
+    50-digit decimal arithmetic, and float() rounds the result once.  Each
+    step sums dof / 2 terms, so the cost grows linearly with dof."""
     with localcontext() as ctx:
         ctx.prec = 50
         theta, step = Decimal(0), 1
