@@ -2,21 +2,24 @@
 
 Each mode is declared once, as one row of ``_MODES``.  Each (n, trial)
 cell gets its own 64-bit seed, the SeedSequence hash of (experiment seed,
-n, trial), and its Philox streams are the children of that seed.  One
-function runs cells, ``_run_cells``: it hashes a share's seeds and stream
-keys at one n in one array call each and re-keys one generator per stream
-for each cell.  A sweep worker's share is its slice of the cells, and
-``run_cell``'s is one cell, so any cell replays bit-exactly by the sweep's
-own lines.  A trial whose config is unrunnable at its n (a detection
-threshold that is not positive, or a law that hits the redraw bound)
-becomes NaN-valued rows rather than aborting the sweep; summary counts
-then show the surviving denominator.  Any other fault propagates.
+n, trial), and its Philox streams are the children of that seed.  Cell i
+of a sweep is trial i % trials at n_grid[i // trials].  One function runs
+cells, ``_run_cells``: it hashes the seeds and stream keys of a share's
+cells at one n in chunks of CELL_CHUNK, one array call each, and re-keys
+one generator per stream for each cell.  A sweep worker's share is its
+slice of the cells, and ``run_cell``'s is one cell, so any cell replays
+bit-exactly by the sweep's own lines.  A sweep's results are columns: a
+uint64 seed per cell and a float64 matrix of cells x metrics.  A trial
+whose config is unrunnable at its n (a detection threshold that is not
+positive, or a law that hits the redraw bound) becomes NaN values rather
+than aborting the sweep; summary counts then show the surviving
+denominator.  Any other fault propagates.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
-import itertools
 import json
 import math
 import os
@@ -26,17 +29,23 @@ import threading
 from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
 from .bandwidth import BandwidthConfig, DetectionOutcome, detect_bandwidth
 from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
-from .field import BandlimitedField, distortion, random_field, reference_field
+from .field import BandlimitedField, distortion, random_bandwidth, random_field, reference_field
 from .noise import NoiseSpec
 from .sampling import (RenewalLaw, SampleTrace, acquire, generate_trace, grid_deviation, rekey, spawn_rngs, stream_keys,
                        trial_seed)
+
+# the most cells whose seeds and stream keys one array call hashes, and whose
+# rows one step of the row iterator builds.  The hash holds some 64-128 B of
+# temporaries per cell and the row iterator about 80 B, which a chunk bounds;
+# a share of up to 512 cells at one n still hashes in one call.
+CELL_CHUNK = 512
 
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
@@ -60,7 +69,7 @@ class FieldSource:
         if self.kind not in _SOURCE_KEYS:
             raise ConfigError(f"unknown field source {self.kind!r}; choose from {tuple(_SOURCE_KEYS)}")
         if self.kind == "random":
-            object.__setattr__(self, "b", whole("b", self.b, 0))
+            object.__setattr__(self, "b", random_bandwidth(self.b))
             object.__setattr__(self, "seed", whole("seed", self.seed))
         if self.kind == "file" and not (isinstance(self.path, str) and self.path):
             raise ConfigError("file field source needs a path")
@@ -171,7 +180,7 @@ def load_record(path) -> dict:
     return data
 
 
-class TrialRow(NamedTuple):  # a tuple: a sweep builds one per cell and metric, at a third of a dataclass's cost
+class TrialRow(NamedTuple):  # a tuple: built per cell and metric on access, at a third of a dataclass's cost
     n: int
     trial: int
     seed: int
@@ -195,13 +204,35 @@ class SlopeFit:
     ci_high: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """A sweep's results as columns: seeds[i] is the seed of cell i (trial
+    i % trials at n_grid[i // trials]) and values[i] its metrics, in the
+    mode's order.  rows rebuilds one TrialRow per cell and metric on each
+    access."""
+
     config: ExperimentConfig
-    rows: tuple[TrialRow, ...]
+    seeds: np.ndarray  # uint64, one per cell
+    values: np.ndarray  # float64, cells x metrics
     summary: tuple[SummaryRow, ...]
     slope: SlopeFit | None
     slope_note: str | None = None
+
+    @property
+    def rows(self) -> tuple[TrialRow, ...]:
+        return tuple(self._rows())
+
+    def _rows(self) -> Iterator[TrialRow]:
+        """The row of each cell and metric, cells in order: the one place a
+        TrialRow is built.  It converts CELL_CHUNK cells at a time, so a
+        stream of rows holds no more."""
+        names, grid, trials = _MODES[self.config.mode].metrics, self.config.n_grid, self.config.trials
+        for lo in range(0, len(self.seeds), CELL_CHUNK):
+            values = iter(self.values[lo:lo + CELL_CHUNK].ravel().tolist())  # each cell's metrics in turn
+            for i, seed in enumerate(self.seeds[lo:lo + CELL_CHUNK].tolist(), lo):
+                n, trial = grid[i // trials], i % trials
+                for name in names:
+                    yield TrialRow(n, trial, seed, name, next(values))
 
 
 # a trial is _draw, from its streams, then its mode's step, which scores the
@@ -297,38 +328,52 @@ def simulate(config: ExperimentConfig, truth: BandlimitedField, n: int, seed: in
 
 
 def _trial(config: ExperimentConfig, truth: BandlimitedField, n: int,
-           rngs: tuple[np.random.Generator, ...]) -> dict[str, float]:
-    """The metrics of the trial that the streams rngs draw at n."""
+           rngs: tuple[np.random.Generator, ...]) -> tuple[float, ...]:
+    """The metrics of the trial that the streams rngs draw at n, in the
+    mode's order; NaNs for a trial its config cannot run."""
     mode = _MODES[config.mode]
     try:
-        return dict(zip(mode.metrics, mode.step(config, truth, _draw(config, truth, n, rngs))))
+        return mode.step(config, truth, _draw(config, truth, n, rngs))
     except ConfigError:
-        return dict.fromkeys(mode.metrics, math.nan)
+        return (math.nan,) * len(mode.metrics)
 
 
 def run_cell(config: ExperimentConfig, n: int, trial: int) -> tuple[int, dict[str, float]]:
     """The seed of cell (n, trial) and its trial's metrics, which depend only
     on (config, n, trial): the sweep's own lines run this one cell, so a
-    replayed row matches its sweep row by construction.  A truth that cannot
-    be resolved raises; an unrunnable trial reads NaN, as in a sweep."""
-    return _run_cells(config, _truth(config), [(n, trial)])[0]
+    replayed row matches its sweep row by construction.  A cell outside the
+    config's sweep is a ConfigError, and so is a truth that cannot be
+    resolved; an unrunnable trial reads NaN, as in a sweep."""
+    if n not in config.n_grid:
+        raise ConfigError(f"n={n} is not in the config grid {list(config.n_grid)}")
+    if not 0 <= trial < config.trials:  # trials <= 2**32, so a trial is one word below 2**32
+        raise ConfigError(f"trial must lie in [0, trials) = [0, {config.trials}), and so below 2**32; got {trial}")
+    cell = config.n_grid.index(n) * config.trials + trial
+    seeds, values = _run_cells(config, _truth(config), range(cell, cell + 1))
+    return int(seeds[0]), dict(zip(_MODES[config.mode].metrics, values[0].tolist()))
 
 
-def _run_cells(config: ExperimentConfig, truth: BandlimitedField,
-               cells: list[tuple[int, int]]) -> list[tuple[int, dict[str, float]]]:
-    """The seed and the metrics of each cell, in order: a sweep worker's
-    share, ordered by n first, or one cell to replay.  The seeds and the
-    stream keys of the share's cells at one n are hashed in one array call
-    each, and one generator per stream is re-keyed to each cell's key."""
+def _run_cells(config: ExperimentConfig, truth: BandlimitedField, cells: range) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds (uint64) and the metrics (float64, cells x metrics) of the
+    cells, an increasing range of cell indices: a sweep worker's share, or
+    one cell to replay.  The seeds and the stream keys of up to CELL_CHUNK of
+    the share's cells at one n are hashed in one array call each, and one
+    generator per stream is re-keyed to each cell's key."""
+    seeds = np.empty(len(cells), dtype=np.uint64)
+    values = np.empty((len(cells), len(_MODES[config.mode].metrics)))
     rngs = spawn_rngs(config.master_seed, _streams(config))  # any seed: every cell re-keys them
-    out = []
-    for n, share in itertools.groupby(cells, key=lambda cell: cell[0]):
-        seeds = trial_seed(config.master_seed, n, np.array([trial for _, trial in share]))
-        keys = stream_keys(seeds, len(rngs))
-        for j, seed in enumerate(seeds.tolist()):
+    lo = 0
+    while lo < len(cells):
+        at = cells[lo] // config.trials  # the cells at n_grid[at] end before cell (at + 1) * trials
+        hi = min(bisect.bisect_left(cells, (at + 1) * config.trials, lo), lo + CELL_CHUNK)
+        n = config.n_grid[at]
+        seeds[lo:hi] = chunk = trial_seed(config.master_seed, n, np.asarray(cells[lo:hi]) - at * config.trials)
+        keys = stream_keys(chunk, len(rngs))
+        for j in range(hi - lo):
             streams = tuple(rekey(rng, (low[j], high[j])) for rng, (low, high) in zip(rngs, keys))
-            out.append((seed, _trial(config, truth, n, streams)))
-    return out
+            values[lo + j] = _trial(config, truth, n, streams)
+        lo = hi
+    return seeds, values
 
 
 def _orphaned(write: int) -> None:
@@ -344,9 +389,9 @@ def _orphaned(write: int) -> None:
 
 
 def _work(write: int, reads: list[int], config: ExperimentConfig, truth: BandlimitedField,
-          share: list[tuple[int, int]]) -> NoReturn:
+          share: range) -> NoReturn:
     """A forked sweep worker: run the share and write one pickled (ok,
-    outcomes or fault) payload to the pipe.  It leaves by os._exit in every
+    (seeds, values) or fault) payload to the pipe.  It leaves by os._exit in every
     path, so the caller's atexit handlers, finally blocks and buffered output
     run once, in the caller, and it leaves as soon as its caller is gone.  It
     keeps its write end open until it exits, so the caller meets EOF, and
@@ -374,23 +419,30 @@ def _work(write: int, reads: list[int], config: ExperimentConfig, truth: Bandlim
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Full sweep over config.n_grid x config.trials.
+    """Full sweep over config.n_grid x config.trials, over min(workers,
+    cells) worker processes (see _run_shares).  Every cell's seed is derived
+    from the cell, so the results are the same at any worker count."""
+    seeds, values = _run_shares(config, _truth(config), range(len(config.n_grid) * config.trials), workers)
+    summary = _summarise(config, values)
+    slope, note = _fit_primary_slope(config, summary)
+    return ExperimentResult(config=config, seeds=seeds, values=values, summary=summary, slope=slope,
+                            slope_note=note)
 
-    With workers > 1, each of min(workers, cells) workers runs one
-    interleaved slice of the cells: this process the first, and a child made
-    by os.fork each of the others.  A child inherits the config, the truth,
-    its share and any patched layer, so nothing is pickled in; its outcomes
-    come back pickled over a pipe, and its fault is raised here.  A worker
-    that dies before it sends them raises a RuntimeError that names it.
-    Every cell's seed is derived from the cell, so the rows are the same at
-    any worker count."""
-    cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    truth = _truth(config)
+
+def _run_shares(config: ExperimentConfig, truth: BandlimitedField, cells: range,
+                workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds and the metrics of the cells, as _run_cells gives them,
+    with each of min(workers, cells) workers running one interleaved slice
+    cells[w::workers]: this process the first, and a child made by os.fork
+    each of the others.  A child inherits the config, the truth, its share
+    and any patched layer, so nothing is pickled in; its seed and value
+    arrays come back pickled over a pipe, and its fault is raised here.  A
+    worker that dies before it sends them raises a RuntimeError that names
+    it."""
     workers = max(1, min(workers, len(cells)))
     if workers > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"a sweep over {workers} workers forks them, and this platform has no os.fork; "
                           "run it with one worker")
-    outcomes = [None] * len(cells)
     reads, pids = [], []
     try:
         for w in range(1, workers):
@@ -405,49 +457,42 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
                 _work(write, reads, config, truth, cells[w::workers])
             os.close(write)  # a later child must not hold it, or this read end never meets EOF
             pids.append(pid)
-        outcomes[::workers] = _run_cells(config, truth, cells[::workers])
-        payloads = []
+        outcomes = [(True, _run_cells(config, truth, cells[::workers]))]
         for read in reads:
             with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
+                # unpickled as it arrives, so its bytes are never held whole beside its arrays
+                outcomes.append(pickle.load(pipe) if pipe.peek(1) else None)
     finally:
         for read in reads:  # first: a worker still writing gets EPIPE, not a wait on this process
             os.close(read)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for w, (payload, status) in enumerate(zip(payloads, statuses), 1):
-        if not payload:
+    # allocated once every share is done, so they are not held beside the caller's hashing
+    seeds = np.empty(len(cells), dtype=np.uint64)
+    values = np.empty((len(cells), len(_MODES[config.mode].metrics)))
+    for w, outcome in enumerate(outcomes):
+        if outcome is None:
             raise RuntimeError(f"sweep worker {w} of {workers} sent no outcomes; it ended with exit code "
-                               f"{os.waitstatus_to_exitcode(status)}")
-        ok, value = pickle.loads(payload)
+                               f"{os.waitstatus_to_exitcode(statuses[w - 1])}")
+        ok, value = outcome
         if not ok:
             raise value
-        outcomes[w::workers] = value
-    metric_names = _MODES[config.mode].metrics
-    rows = tuple(
-        TrialRow(n, t, seed, name, float(values[name]))
-        for (n, t), (seed, values) in zip(cells, outcomes)
-        for name in metric_names
-    )
-    summary = _summarise(rows, config.n_grid, metric_names)
-    slope, note = _fit_primary_slope(config, summary)
-    return ExperimentResult(config=config, rows=rows, summary=summary, slope=slope, slope_note=note)
+        seeds[w::workers], values[w::workers] = value
+    return seeds, values
 
 
-def _summarise(rows: tuple[TrialRow, ...], n_grid: tuple[int, ...],
-               metric_names: tuple[str, ...]) -> tuple[SummaryRow, ...]:
+def _summarise(config: ExperimentConfig, values: np.ndarray) -> tuple[SummaryRow, ...]:
+    """The mean, standard error and count of each metric's non-NaN values
+    at each n, from the (metric, n) column slice of values."""
     out = []
-    by_key: dict[tuple[str, int], list[float]] = {}
-    for row in rows:
-        by_key.setdefault((row.metric, row.n), []).append(row.value)
-    for name in metric_names:
-        for n in n_grid:
-            values = np.asarray(by_key.get((name, n), ()), dtype=float)
-            values = values[~np.isnan(values)]
-            count = int(values.size)
+    for m, name in enumerate(_MODES[config.mode].metrics):
+        for at, n in enumerate(config.n_grid):
+            column = values[at * config.trials:(at + 1) * config.trials, m]
+            column = column[~np.isnan(column)]  # a contiguous copy, in cell order
+            count = int(column.size)
             # an inf row reads mean=inf and stderr=nan; huge rows may overflow to inf
             with np.errstate(over="ignore", invalid="ignore"):
-                mean = float(np.mean(values)) if count else math.nan
-                stderr = float(np.std(values, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+                mean = float(np.mean(column)) if count else math.nan
+                stderr = float(np.std(column, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
             out.append(SummaryRow(metric=name, n=n, mean=mean, stderr=stderr, count=count))
     return tuple(out)
 
@@ -557,11 +602,12 @@ _ROW_COLUMNS = {"mode": str, "n": int, "trial": int, "seed": int, "metric": str,
 
 
 def write_rows_csv(result: ExperimentResult, path) -> None:
-    """Per-trial rows: mode,n,trial,seed,metric,value."""
+    """Per-trial rows: mode,n,trial,seed,metric,value, streamed from the
+    result's columns."""
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ROW_COLUMNS)
-        for row in result.rows:
+        for row in result._rows():
             writer.writerow([result.config.mode, row.n, row.trial, row.seed, row.metric, str(row.value)])
 
 

@@ -96,6 +96,22 @@ def test_field_gen_rejects_mixed_source(tmp_path, capsys):
     assert "does not read ['b', 'seed']" in capsys.readouterr().err
 
 
+def test_a_random_field_whose_b_the_sup_norm_probe_cannot_resolve_exits_usage(tmp_path, capsys):
+    # the field is scaled by its peak on the 8192-point probe, which aliases
+    # once 2b + 1 > 8192; b = 2**64 + 1 once drew coefficients for hours
+    assert main(["field-gen", "--b", "4096", "--seed", "1", "--out", str(tmp_path / "f.json")]) == EXIT_USAGE
+    assert "bandwidth b must be at most 4095" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "mode": "GridDeviation", "field": {"source": "random", "b": 2**64 + 1, "seed": 3},
+        "renewal": {"family": "uniform"}, "noise": {"family": "zero"}, "n_grid": [100], "trials": 1}))
+    start = time.perf_counter()
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "bandwidth b must be at most 4095" in capsys.readouterr().err
+
+
 def test_field_gen_requires_some_source(tmp_path):
     assert main(["field-gen", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
     assert main(["field-gen", "--b", "3", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE

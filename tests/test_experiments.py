@@ -397,11 +397,11 @@ def _faulting_in(where, fault, monkeypatch):
 
 
 def test_a_fault_in_the_callers_share_does_not_wait_on_a_full_pipe(monkeypatch):
-    # the worker's outcomes overfill the pipe, so it blocks writing until the
-    # caller closes its read end; waiting on the worker first would hang
-    cfg = _gridgap(n_grid=(100,), trials=8000)
-    cells = [(100, t) for t in range(cfg.trials)]
-    held = pickle.dumps((True, experiments._run_cells(cfg, experiments._truth(cfg), cells[1::2])))
+    # the worker's seeds and values (16 B a cell) overfill the pipe, so it
+    # blocks writing until the caller closes its read end; waiting on the
+    # worker first would hang
+    cfg = _gridgap(n_grid=(100,), trials=12000)
+    held = pickle.dumps((True, experiments._run_cells(cfg, experiments._truth(cfg), range(1, cfg.trials, 2))))
     assert len(held) > 64 * 1024
     _faulting_in("parent", lambda: RuntimeError("caller share bug"), monkeypatch)
 
@@ -639,6 +639,37 @@ def test_distortion_trial_allocates_about_three_readings_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * readings_bytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_holds_at_most_64_bytes_a_cell(tmp_path, workers):
+    # a sweep's results are a uint64 seed and a float64 value per cell, and
+    # the rows CSV streams from them; a Python row per cell held about 550 B
+    write_rows_csv(run(_gridgap(n_grid=(20,), trials=50), workers=workers), tmp_path / "warm.csv")  # first calls
+    cells = 10_000
+    cfg = _gridgap(n_grid=(20,), trials=cells)
+    tracemalloc.start()
+    try:
+        write_rows_csv(run(cfg, workers=workers), tmp_path / "rows.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * cells, f"{peak / cells:.1f} B a cell"
+
+
+def test_result_columns_hold_each_cells_seed_and_values():
+    cfg = _config(mode="BandwidthCurve", field_source=FieldSource(kind="paper2"), n_grid=(100, 2000), trials=3,
+                  b_max=16)
+    result = run(cfg)
+    assert result.seeds.dtype == np.uint64 and result.seeds.shape == (6,)
+    assert result.values.dtype == np.float64 and result.values.shape == (6, 3)
+    for i, (seed, values) in enumerate(zip(result.seeds.tolist(), result.values.tolist())):
+        n, trial = cfg.n_grid[i // cfg.trials], i % cfg.trials
+        rows = result.rows[3 * i:3 * i + 3]
+        assert [(row.n, row.trial, row.seed, row.metric) for row in rows] == [
+            (n, trial, seed, metric) for metric in ("success", "stop_check", "coeff_check")]
+        assert [_bits(row.value) for row in rows] == [_bits(value) for value in values]
+        assert math.isnan(values[0]) == (n == 100)  # the threshold is not positive at n = 100
 
 
 def test_grid_deviation_mode_skips_acquisition():

@@ -94,6 +94,24 @@ def test_only_the_cell_runner_seeds_and_keys_streams():
     assert runner and not found, f"seeds or stream keys made outside _run_cells in {found}"
 
 
+def test_only_the_row_iterator_builds_trial_rows():
+    # a sweep holds a seed array and a value matrix; ExperimentResult._rows
+    # builds the rows from them a chunk at a time, for .rows and the rows
+    # CSV, so no Python row per cell can creep back into run
+    found, iterators = [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        tops = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_rows"]
+        iterators += len(tops)
+        inside = {id(node) for top in tops for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside and (
+                      isinstance(node.func, ast.Name) and node.func.id == "TrialRow"
+                      or isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "TrialRow")]
+    assert iterators == 1 and not found, f"TrialRow built in {found}"
+
+
 def test_no_module_imports_a_process_pool():
     # a sweep forks its workers with os.fork and reads their outcomes from
     # pipes; a pool would pickle the config, the truth and the cells into
