@@ -6,7 +6,10 @@ n, trial), and its Philox streams are the children of that seed.  Cell i
 of a sweep is trial i % trials at n_grid[i // trials].  One function runs
 cells, ``_run_cells``: it hashes the seeds and stream keys of a share's
 cells at one n in chunks of CELL_CHUNK, one array call each, and re-keys
-one generator per stream for each cell.  A sweep worker's share is its
+one generator per stream for each cell.  It draws the cells' traces a
+chunk at a time into the rows of one matrix of TRACE_POINTS points;
+GridDeviation scores a chunk at once, and the modes with readings run a
+trial per cell.  A sweep worker's share is its
 slice of the cells, and ``run_cell``'s is one cell, so any cell replays
 bit-exactly by the sweep's own lines.  A sweep's results are columns: a
 uint64 seed per cell and a float64 matrix of cells x metrics.  A trial
@@ -38,14 +41,20 @@ from .errors import ConfigError, density, refuse_unread, whole
 from .estimator import energy_estimate, estimate_field
 from .field import BandlimitedField, distortion, random_bandwidth, random_field, reference_field
 from .noise import NoiseSpec
-from .sampling import (RenewalLaw, SampleTrace, acquire, generate_trace, grid_deviation, rekey, spawn_rngs, stream_keys,
-                       trial_seed)
+from .sampling import (RenewalLaw, SampleTrace, TraceRows, acquire, generate_trace, generate_traces, grid_deviation,
+                       rekey, spawn_rngs, stream_keys, trial_seed)
 
 # the most cells whose seeds and stream keys one array call hashes, and whose
 # rows one step of the row iterator builds.  The hash holds some 64-128 B of
 # temporaries per cell and the row iterator about 80 B, which a chunk bounds;
 # a share of up to 512 cells at one n still hashes in one call.
 CELL_CHUNK = 512
+
+# the most points of the matrix that a share's traces are drawn into, a chunk
+# of rows at a time: at n = 5e3 that is 6 traces of 5157 points, and at n = 20
+# CELL_CHUNK traces of 44 (see RenewalSpec.width).  A longer row takes a chunk
+# alone.
+TRACE_POINTS = 32 * 1024
 
 # below this, means are floating-point residue (e.g. noiseless degenerate
 # runs) and a decay slope would be meaningless
@@ -252,10 +261,13 @@ def estimate(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTra
     return estimate_field(trace.readings, truth.b if config.known_b is None else config.known_b)
 
 
-def _truth(config: ExperimentConfig) -> BandlimitedField:
-    """The config's truth field.  A mode that estimates at known_b estimates
-    at the truth's b when known_b is unset, and that b is held to known_b's
-    bound, which the load check cannot apply before the field resolves."""
+def _truth(config: ExperimentConfig) -> BandlimitedField | None:
+    """The config's truth field, or None in a mode that takes no readings of
+    it.  A mode that estimates at known_b estimates at the truth's b when
+    known_b is unset, and that b is held to known_b's bound, which the load
+    check cannot apply before the field resolves."""
+    if not _MODES[config.mode].readings:
+        return None
     truth = config.field_source.resolve()
     if config.known_b is None and "known_b" in _MODES[config.mode].reads:
         config._resolves("b", truth.b)
@@ -276,8 +288,8 @@ def _detection(config: ExperimentConfig, truth: BandlimitedField, trace: SampleT
     return float(stop_ok and coeff_ok), float(stop_ok), float(coeff_ok)
 
 
-def _grid_gap(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
-    return (grid_deviation(trace),)
+def _grid_gap(config: ExperimentConfig, truth: None, traces: TraceRows) -> np.ndarray:
+    return grid_deviation(traces)[:, None]
 
 
 def _energy_error(config: ExperimentConfig, truth: BandlimitedField, trace: SampleTrace) -> tuple[float]:
@@ -293,7 +305,9 @@ class _Mode(NamedTuple):
     reads: tuple[str, ...]  # the config entries it reads besides _SHARED
     slope: bool  # fit a log-log decay slope to the primary metric
     readings: bool  # acquire noisy readings of the truth before the step
-    step: Callable[[ExperimentConfig, BandlimitedField, SampleTrace], tuple[float, ...]]
+    # with readings, a trial's metrics from its trace; without, a matrix of
+    # them from a chunk of traces, one row each
+    step: Callable[[ExperimentConfig, BandlimitedField | None, SampleTrace | TraceRows], tuple | np.ndarray]
 
 
 _MODES = {
@@ -313,27 +327,21 @@ def _streams(config: ExperimentConfig) -> int:
     return 1 + _MODES[config.mode].readings
 
 
-def _draw(config: ExperimentConfig, truth: BandlimitedField, n: int,
-          rngs: tuple[np.random.Generator, ...]) -> SampleTrace:
-    """The trace that the streams rngs draw at n, with readings from the
-    second stream when the config's mode scores them."""
+def simulate(config: ExperimentConfig, truth: BandlimitedField, n: int, seed: int) -> SampleTrace:
+    """The first half of a trial: the trace that seed draws at n, with
+    readings when the config's mode scores them."""
+    rngs = spawn_rngs(seed, _streams(config))
     trace = generate_trace(config.renewal.at(n), rngs[0])
     return acquire(trace, truth, config.noise, rngs[1]) if _MODES[config.mode].readings else trace
 
 
-def simulate(config: ExperimentConfig, truth: BandlimitedField, n: int, seed: int) -> SampleTrace:
-    """The first half of a trial: the trace that seed draws at n, with
-    readings when the config's mode scores them."""
-    return _draw(config, truth, n, spawn_rngs(seed, _streams(config)))
-
-
-def _trial(config: ExperimentConfig, truth: BandlimitedField, n: int,
-           rngs: tuple[np.random.Generator, ...]) -> tuple[float, ...]:
-    """The metrics of the trial that the streams rngs draw at n, in the
-    mode's order; NaNs for a trial its config cannot run."""
+def _trial(config: ExperimentConfig, truth: BandlimitedField, traces: TraceRows, j: int,
+           noise: np.random.Generator) -> tuple[float, ...]:
+    """The metrics of the trial of row j of traces, whose readings the stream
+    noise draws, in the mode's order; NaNs for a trial its config cannot run."""
     mode = _MODES[config.mode]
     try:
-        return mode.step(config, truth, _draw(config, truth, n, rngs))
+        return mode.step(config, truth, acquire(traces.trace(j), truth, config.noise, noise))
     except ConfigError:
         return (math.nan,) * len(mode.metrics)
 
@@ -353,25 +361,41 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> tuple[int, dict[st
     return int(seeds[0]), dict(zip(_MODES[config.mode].metrics, values[0].tolist()))
 
 
-def _run_cells(config: ExperimentConfig, truth: BandlimitedField, cells: range) -> tuple[np.ndarray, np.ndarray]:
+def _run_cells(config: ExperimentConfig, truth: BandlimitedField | None,
+               cells: range) -> tuple[np.ndarray, np.ndarray]:
     """The seeds (uint64) and the metrics (float64, cells x metrics) of the
     cells, an increasing range of cell indices: a sweep worker's share, or
     one cell to replay.  The seeds and the stream keys of up to CELL_CHUNK of
     the share's cells at one n are hashed in one array call each, and one
-    generator per stream is re-keyed to each cell's key."""
+    generator per stream is re-keyed to each cell's key.  The traces are
+    drawn a chunk of cells at a time, one a row of a matrix of TRACE_POINTS
+    points (or of the share's longest row) allocated once for the share.
+    A mode with readings then runs each row's trial; the others score the
+    chunk at once."""
+    mode = _MODES[config.mode]
     seeds = np.empty(len(cells), dtype=np.uint64)
-    values = np.empty((len(cells), len(_MODES[config.mode].metrics)))
+    values = np.empty((len(cells), len(mode.metrics)))
     rngs = spawn_rngs(config.master_seed, _streams(config))  # any seed: every cell re-keys them
+    matrix = np.empty(max(TRACE_POINTS, config.renewal.at(config.n_grid[cells[-1] // config.trials]).width))
     lo = 0
     while lo < len(cells):
         at = cells[lo] // config.trials  # the cells at n_grid[at] end before cell (at + 1) * trials
         hi = min(bisect.bisect_left(cells, (at + 1) * config.trials, lo), lo + CELL_CHUNK)
-        n = config.n_grid[at]
-        seeds[lo:hi] = chunk = trial_seed(config.master_seed, n, np.asarray(cells[lo:hi]) - at * config.trials)
-        keys = stream_keys(chunk, len(rngs))
-        for j in range(hi - lo):
-            streams = tuple(rekey(rng, (low[j], high[j])) for rng, (low, high) in zip(rngs, keys))
-            values[lo + j] = _trial(config, truth, n, streams)
+        spec = config.renewal.at(config.n_grid[at])
+        seeds[lo:hi] = chunk = trial_seed(config.master_seed, spec.n, np.asarray(cells[lo:hi]) - at * config.trials)
+        # keys[s][j]: the (low, high) key of stream s of cell lo + j, as Python ints
+        keys = [list(zip(low.tolist(), high.tolist())) for low, high in stream_keys(chunk, len(rngs))]
+        rows = min(CELL_CHUNK, max(1, TRACE_POINTS // spec.width))
+        points = matrix[:rows * spec.width].reshape(rows, spec.width)
+        for a in range(0, hi - lo, rows):
+            b = min(a + rows, hi - lo)
+            streams = (rekey(rngs[0], key) for key in keys[0][a:b])  # re-keyed as each row is drawn
+            traces = generate_traces(spec, streams, points[:b - a])
+            if mode.readings:
+                for j in range(a, b):
+                    values[lo + j] = _trial(config, truth, traces, j - a, rekey(rngs[1], keys[1][j]))
+            else:
+                values[lo + a:lo + b] = mode.step(config, truth, traces)
         lo = hi
     return seeds, values
 

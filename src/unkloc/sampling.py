@@ -2,7 +2,13 @@
 
 Locations are partial sums S_i of i.i.d. spacings X with E[X] = 1/n and
 support inside (0, lam/n]; generation stops at the last S_M <= 1 (the
-spacing that would cross 1 is drawn and discarded).  Per-trial randomness
+spacing that would cross 1 is drawn and discarded).  generate_traces draws
+a chunk of cells' traces, one from each cell's stream, into the rows of
+one float64 matrix that its caller sizes: a sweep fits as many rows of
+RenewalSpec.width spacings as a point budget holds
+(experiments.TRACE_POINTS).  It checks the chunk with a few matrix calls,
+and grid_deviation scores a chunk with one sum per row; generate_trace
+and a SampleTrace's grid_deviation are the one-row cases.  Per-trial randomness
 comes from Philox, a counter-based 64-bit generator.  One transcription of
 numpy's SeedSequence hash makes both the seed of an (experiment seed, n,
 trial) cell and the key of each of its streams, and every stream is keyed
@@ -12,8 +18,8 @@ one way: a generator is re-keyed to its key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -147,29 +153,38 @@ def _beta_lam(alpha: float, beta: float) -> float:
     return (alpha + beta) / alpha
 
 
-def _uniform(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(1 - U) * lam/n, formed in the array of the U[0, 1) draws.  1 - U
-    lands in (0, 1], keeping the support strictly positive."""
-    x = rng.random(size)
-    np.subtract(1.0, x, out=x)
-    x *= spec.max_spacing
-    return x
+def _uniform(spec: RenewalSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """(1 - U) * lam/n, formed in out from the U[0, 1) draws.  1 - U lands in
+    (0, 1], keeping the support strictly positive."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    out *= spec.max_spacing
+    return out
+
+
+def _degenerate(spec: RenewalSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    out.fill(1.0 / spec.n)
+    return out
 
 
 class _Law(NamedTuple):
     lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta); refuses a bad shape
-    draw: Callable[[RenewalSpec, np.random.Generator, int], np.ndarray]  # size spacings X
+    draw: Callable[[RenewalSpec, np.random.Generator, np.ndarray], np.ndarray]  # spacings X, drawn into out
+    # a block drawn in parts draws what it draws whole; a law that redraws
+    # rejected variates does so after each part's draws, so it may not
+    parts: bool = False
 
 
 _LAWS = {
-    "uniform": _Law(lambda a, b: 2.0, _uniform),
+    "uniform": _Law(lambda a, b: 2.0, _uniform, parts=True),
     # n X symmetric triangular on (0, 2], mean 1
-    "triangular": _Law(lambda a, b: 2.0, lambda spec, rng, size: redraw(
-        lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), size, lambda v: v <= 0.0, spec) / spec.n),
-    "scaled_beta": _Law(_beta_lam, lambda spec, rng, size: redraw(
-        lambda k: rng.beta(spec.law.alpha, spec.law.beta, size=k), size, lambda v: v <= 0.0, spec) * spec.max_spacing),
+    "triangular": _Law(lambda a, b: 2.0, lambda spec, rng, out: np.divide(redraw(
+        lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), out.size, lambda v: v <= 0.0, spec), spec.n, out=out)),
+    "scaled_beta": _Law(_beta_lam, lambda spec, rng, out: np.multiply(redraw(
+        lambda k: rng.beta(spec.law.alpha, spec.law.beta, size=k), out.size, lambda v: v <= 0.0, spec),
+        spec.max_spacing, out=out)),
     # X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)
-    "degenerate": _Law(lambda a, b: 1.0, lambda spec, rng, size: np.full(size, 1.0 / spec.n)),
+    "degenerate": _Law(lambda a, b: 1.0, _degenerate, parts=True),
 }
 
 FAMILIES = tuple(_LAWS)
@@ -229,14 +244,32 @@ class RenewalSpec:
     def max_spacing(self) -> float:
         return self.law.lam / self.n
 
+    @property
+    def block(self) -> int:
+        """The spacings drawn at a time, n + 6 sqrt(n) + 16 and at least 64:
+        enough that the first block almost always crosses 1."""
+        return max(64, int(self.n + 6.0 * math.sqrt(self.n) + 16))
+
+    @property
+    def width(self) -> int:
+        """The spacings a trace's first draw takes: the block, or, for a law
+        whose block may be drawn in parts, its first n + 2 sqrt(n) + 16.
+        Under the uniform law these cross 1 in all but about 1 trace in
+        10^4 (M has a standard deviation of about sqrt(n/3)), and the rest
+        of the block is drawn only for that trace."""
+        if not _LAWS[self.law.family].parts:
+            return self.block
+        return min(self.block, int(self.n + 2.0 * math.sqrt(self.n) + 16))
+
     @classmethod
     def uniform(cls, n: int) -> "RenewalSpec":
         """n X ~ Uniform(0, 2]."""
         return cls(n, RenewalLaw("uniform"))
 
 
-def _draw_block(spec: RenewalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    return _LAWS[spec.law.family].draw(spec, rng, size)
+def _draw_block(spec: RenewalSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """out, filled with spacings X of the spec's law drawn from rng."""
+    return _LAWS[spec.law.family].draw(spec, rng, out)
 
 
 @dataclass(frozen=True)
@@ -244,7 +277,10 @@ class SampleTrace:
     """Ordered locations S_1 < ... < S_M in (0, 1] plus optional readings.
 
     The stopping rule S_M <= 1 < S_M + X_{M+1} is checked during
-    generation; the crossing spacing itself is discarded.
+    generation; the crossing spacing itself is discarded.  Building one
+    checks its locations (see _check).  generate_traces, which checks the
+    traces it draws a chunk at a time, and acquire, whose trace is checked
+    already, build theirs through _trace, unchecked.
     """
 
     spec: RenewalSpec
@@ -253,25 +289,11 @@ class SampleTrace:
 
     def __post_init__(self) -> None:
         locs = np.asarray(self.locations, dtype=float)
-        locs.setflags(write=False)
-        object.__setattr__(self, "locations", locs)
-        if locs.size:
-            if locs[0] <= 0.0 or locs[-1] > 1.0:
-                raise ValueError("locations must lie in (0, 1]")
-            if not (locs[1:] > locs[:-1]).all():
-                raise ValueError("locations must be strictly increasing")
-        # S_M lies within one spacing of 1; tiny slack, as the crossing test
-        # rounds, so the overshoot may poke one ulp past the spacing bound
-        if self.overshoot > self.spec.max_spacing + 1e-12:
-            raise ValueError("overshoot 1 - S_M must lie in [0, lam/n)")
-        if self.m < self.spec.law._fewest(self.spec.n):
-            raise ValueError("trace is too short for the spacing bound (M + 1 >= n/lam)")
-        if self.readings is not None:
-            r = np.asarray(self.readings)
-            if r.shape != locs.shape:
-                raise ValueError("readings must align with locations")
-            r.setflags(write=False)
-            object.__setattr__(self, "readings", r)
+        if len(_check(self.spec, locs.reshape(1, -1), np.array([locs.size]))):
+            raise ValueError("locations must be strictly increasing")
+        if self.readings is not None and np.shape(self.readings) != locs.shape:
+            raise ValueError("readings must align with locations")
+        _seal(self, self.spec, locs, self.readings)
 
     @property
     def m(self) -> int:
@@ -283,62 +305,203 @@ class SampleTrace:
         return 1.0 - float(self.locations[-1]) if self.locations.size else 1.0
 
 
-def _strictly_increasing(locations: np.ndarray) -> np.ndarray:
-    """Nudge exact float ties (possible when a spacing underflows the gap
-    to its running sum) up by one ulp; the fast path is a no-op."""
-    if (locations[1:] > locations[:-1]).all():
-        return locations
-    out = locations.copy()
-    for i in range(1, out.size):
-        if out[i] <= out[i - 1]:
-            out[i] = np.nextafter(out[i - 1], np.inf)
-    if out[-1] > 1.0:
+def _seal(trace: SampleTrace, spec: RenewalSpec, locations: np.ndarray, readings) -> SampleTrace:
+    """trace holding spec, locations and readings, its arrays read-only."""
+    locations.setflags(write=False)
+    if readings is not None:
+        readings = np.asarray(readings)
+        readings.setflags(write=False)
+    object.__setattr__(trace, "spec", spec)
+    object.__setattr__(trace, "locations", locations)
+    object.__setattr__(trace, "readings", readings)
+    return trace
+
+
+def _trace(spec: RenewalSpec, locations: np.ndarray, readings: np.ndarray | None = None) -> SampleTrace:
+    """The SampleTrace of locations that have been checked where they were
+    made, built without checking them again."""
+    return _seal(object.__new__(SampleTrace), spec, locations, readings)
+
+
+def _check(spec: RenewalSpec, points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Check the trace held by each row j of points, a matrix: its first m[j]
+    entries, and then, where the row goes on, the sum that crossed 1.  A
+    ValueError is raised unless the locations lie in (0, 1], end within one
+    spacing of 1 and are at least the fewest a trace at the spec holds, and a
+    RuntimeError unless the sum after them is past 1 (the stopping rule
+    S_M <= 1 < S_M + X_{M+1}).  Returns the rows whose locations do not
+    strictly increase: the one scan of a trace's order, which the caller
+    acts on.
+    A row holds m[j] >= 1 locations unless it is an empty trace of width 0."""
+    rows, width = points.shape
+    at = np.arange(rows)
+    last = points[at, m - 1] if width else np.zeros(rows)  # S_M, and S_0 = 0 for no sample
+    if width:  # each bound on the least or the largest value, where a NaN fails it
+        if not (points[:, 0].min() > 0.0 and last.max() <= 1.0):
+            raise ValueError("locations must lie in (0, 1]")
+        if not points[at, np.minimum(m, width - 1)][m < width].min(initial=np.inf) > 1.0:
+            raise RuntimeError("trace generation broke the stopping rule S_M <= 1 < S_M + X_{M+1}")
+    # S_M lies within one spacing of 1; tiny slack, as the crossing test
+    # rounds, so the overshoot may poke one ulp past the spacing bound
+    if 1.0 - last.min() > spec.max_spacing + 1e-12:
+        raise ValueError("overshoot 1 - S_M must lie in [0, lam/n)")
+    if m.min() < spec.law._fewest(spec.n):
+        raise ValueError("trace is too short for the spacing bound (M + 1 >= n/lam)")
+    # every place where a value does not rise above the one before it, read
+    # along the rows in turn (one compare over the whole matrix), counts in
+    # its row when both values are locations: not at the seam between two
+    # rows, nor past the row's last location.  Most often the seams are all
+    # there is.
+    flat = points.ravel()
+    falls = flat[1:] <= flat[:-1]
+    seams = max(width, 1)  # an empty trace has no seam, and no fall
+    if np.count_nonzero(falls) == np.count_nonzero(falls[seams - 1::seams]):
+        return []
+    row, col = np.divmod(np.flatnonzero(falls), seams)
+    return np.unique(row[col < m[row] - 1])
+
+
+def _nudge(locations: np.ndarray) -> None:
+    """Nudge exact float ties (possible when a spacing underflows the gap to
+    its running sum) up by one ulp, in place."""
+    for i in range(1, locations.size):
+        if locations[i] <= locations[i - 1]:
+            locations[i] = np.nextafter(locations[i - 1], np.inf)
+    if locations[-1] > 1.0:
         raise RuntimeError("tie-break nudge crossed the unit boundary")
-    return out
 
 
-def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
-    """Accumulate spacings until the partial sum would exceed 1."""
+class TraceRows(NamedTuple):
+    """The traces of a chunk of cells at one spec, one a row of points.  Row
+    j's locations are points[j, :m[j]], followed by the sum that crossed 1.
+    A row whose trace took more than one block has m[j] = 0 and its
+    locations in long[j]; a row whose law hit the redraw bound has m[j] = 0
+    and its ConfigError in faults[j]."""
+
+    spec: RenewalSpec
+    points: np.ndarray
+    m: np.ndarray
+    long: dict[int, np.ndarray]
+    faults: dict[int, ConfigError]
+
+    def trace(self, j: int) -> SampleTrace:
+        """Row j's trace, a view of its row; a faulted row raises its ConfigError."""
+        if j in self.faults:
+            raise self.faults[j]
+        return _trace(self.spec, self.long[j] if j in self.long else self.points[j, :self.m[j]])
+
+
+def _cumulate(spec: RenewalSpec, rng: np.random.Generator, row: np.ndarray) -> tuple[int, list]:
+    """Draw row's spacings from rng and cumulate them in place.  While the
+    last sum is at or below 1, draw on from rng: first the rest of the block
+    that row holds the start of, cumulated on from that sum, then whole
+    blocks, each cumulated and then moved on by the running total.  Returns
+    the index of the first sum past 1 in the last part drawn, and every
+    part, the first being row itself."""
+    parts = [_draw_block(spec, rng, row).cumsum(out=row)]
+    if row[-1] <= 1.0 and row.size < spec.block:
+        rest = _draw_block(spec, rng, np.empty(spec.block - row.size))
+        rest[0] += row[-1]  # the block's one sequential sum goes on
+        parts.append(rest.cumsum(out=rest))
+    drawn = 1
+    while parts[-1][-1] <= 1.0:
+        if drawn * spec.block > ITERATION_CAP:
+            raise RuntimeError("trace generation exceeded the iteration cap without reaching 1")
+        total = float(parts[-1][-1])
+        block = _draw_block(spec, rng, np.empty(spec.block)).cumsum()
+        block += total  # a later block goes on from the running total
+        parts.append(block)
+        drawn += 1
+    # the sums never decrease, so the first one past 1 is found by bisection
+    return int(parts[-1].searchsorted(1.0, "right")), parts
+
+
+def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out: np.ndarray) -> TraceRows:
+    """The traces that the streams rngs draw at spec, one a row of out, a
+    rows x spec.width float64 matrix, with rngs giving one stream per row.
+
+    Row j takes spec.width spacings from its stream (a block, or the start
+    of one) and cumulates them in place.  Its trace is cut at the last sum <= 1 (the spacing that would
+    cross 1 is drawn and discarded); a block that ends at or below 1 is
+    followed by more from the same stream, before the next row's stream is
+    drawn from, and that row's trace moves to TraceRows.long.  The whole
+    chunk is then checked at once (see _check), and a tie takes a one-ulp
+    nudge up.  A row whose law hits the redraw bound keeps its ConfigError
+    in TraceRows.faults, and the other rows go on."""
+    rows, width = out.shape
+    m = np.zeros(rows, dtype=np.intp)
+    long, faults = {}, {}
     if spec.law.family == "degenerate":
         # Exact arithmetic gives S_i = i/n and M = n; summing rounded 1/n
         # spacings in floats would drift past 1 and drop the final point.
-        return SampleTrace(spec=spec, locations=np.arange(1, spec.n + 1) / spec.n)
-    pieces: list[np.ndarray] = []
-    total = 0.0
-    drawn = 0
-    block = max(64, int(spec.n + 6.0 * math.sqrt(spec.n) + 16))
-    while True:
-        x = _draw_block(spec, rng, block)
-        partial = np.cumsum(x, out=x)
-        if drawn:  # a later block goes on from the running total
-            partial += total
-        # the sums never decrease, so the first one past 1 is found by bisection
-        cut = int(partial.searchsorted(1.0, side="right"))
-        if cut < partial.size:
-            pieces.append(partial[:cut])
-            # stopping rule: last kept sum <= 1, and adding x[cut] crosses 1;
-            # it also guards the order that the bisection assumes
-            if not ((cut == 0 or partial[cut - 1] <= 1.0) and partial[cut] > 1.0):
-                raise RuntimeError("trace generation broke the stopping rule S_M <= 1 < S_M + X_{M+1}")
-            break
-        pieces.append(partial)
-        total = float(partial[-1])
-        drawn += block
-        if drawn > ITERATION_CAP:
-            raise RuntimeError("trace generation exceeded the iteration cap without reaching 1")
-    # the first block nearly always crosses 1, and then there is nothing to join
-    locations = _strictly_increasing(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
-    return SampleTrace(spec=spec, locations=locations)
+        out[:, :spec.n + 1] = np.arange(1, spec.n + 2) / spec.n
+        m[:] = spec.n
+    else:
+        for j, rng in zip(range(rows), rngs):
+            try:
+                cut, parts = _cumulate(spec, rng, out[j])
+            except ConfigError as exc:
+                faults[j] = exc
+                out[j] = 0.0  # the scores of a chunk read every row
+                continue
+            if len(parts) > 1:
+                long[j] = np.concatenate((*parts[:-1], parts[-1][:cut + 1]))
+            else:
+                m[j] = cut
+    drawn = np.flatnonzero(m)
+    if drawn.size == rows:
+        tied = _check(spec, out, m)
+    else:  # a chunk with a long or a faulted row checks its other rows apart
+        tied = drawn[_check(spec, out[drawn], m[drawn])] if drawn.size else []
+    for j in tied:
+        _nudge(out[j, :m[j]])
+    for j, sums in long.items():
+        if len(_check(spec, sums[None], np.array([sums.size - 1]))):
+            _nudge(sums[:-1])
+        long[j] = sums[:-1]
+    return TraceRows(spec, out, m, long, faults)
 
 
-def grid_deviation(trace: SampleTrace) -> float:
-    """(1/M) sum_i (S_i - i/M)^2, the squared gap to the ordinal grid."""
-    m = trace.m
-    if m == 0:
-        raise ValueError("grid deviation is undefined for an empty trace")
-    gap = trace.locations - np.arange(1, m + 1) / m
-    gap *= gap
-    return float(np.add.reduce(gap) / m)  # np.mean's own sum and division
+def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
+    """Accumulate spacings until the partial sum would exceed 1: the one-row
+    case of generate_traces."""
+    return generate_traces(spec, (rng,), np.empty((1, spec.width))).trace(0)
+
+
+# the rows whose gaps to the grid one temporary holds, so that it is a few
+# rows long however many rows a chunk of traces has
+_GAP_ROWS = 8
+
+
+def _gaps(points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1/M) sum_i (S_i - i/M)^2 over the first M = m[j] entries of each row
+    j of points, or NaN where m[j] = 0.  The gaps are squared _GAP_ROWS rows
+    at a time, each row's are summed by one np.add.reduce over that row
+    alone, and each sum is divided by its M: np.mean's own sum and division."""
+    sums, sizes = np.empty(m.size), m.tolist()
+    most = max(sizes, default=0)
+    # i and M as doubles, as int / int divides them; a row with m[j] = 0 divides by 1 and is never summed
+    ordinals, counts = np.arange(1.0, most + 1), np.maximum(m, 1).astype(float)[:, None]
+    for lo in range(0, m.size, _GAP_ROWS):
+        gap = ordinals / counts[lo:lo + _GAP_ROWS]  # i/M
+        np.subtract(points[lo:lo + _GAP_ROWS, :most], gap, out=gap)
+        gap *= gap
+        sums[lo:lo + len(gap)] = [np.add.reduce(row[:size]) for row, size in zip(gap, sizes[lo:lo + _GAP_ROWS])]
+    return np.divide(sums, m, out=np.full(m.size, np.nan), where=m > 0)
+
+
+def grid_deviation(trace: SampleTrace | TraceRows) -> float | np.ndarray:
+    """(1/M) sum_i (S_i - i/M)^2, the squared gap to the ordinal grid: a
+    float for one trace, and for a chunk of traces an array of one per
+    row, NaN for a faulted row."""
+    if isinstance(trace, SampleTrace):
+        if trace.m == 0:
+            raise ValueError("grid deviation is undefined for an empty trace")
+        return float(_gaps(trace.locations[None], np.array([trace.m]))[0])
+    scores = _gaps(trace.points, trace.m)
+    for j, locations in trace.long.items():
+        scores[j] = _gaps(locations[None], np.array([locations.size]))[0]
+    return scores
 
 
 def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,
@@ -346,4 +509,4 @@ def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,
     """Attach readings y_i = g(S_i) + W_i using the given noise stream."""
     readings = field.evaluate(trace.locations)
     readings += noise.draw(rng, size=trace.m)
-    return replace(trace, readings=readings)
+    return _trace(trace.spec, trace.locations, readings)

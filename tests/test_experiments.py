@@ -680,6 +680,32 @@ def test_grid_deviation_mode_skips_acquisition():
         assert 0.0 <= row.value < 1.0
 
 
+def test_grid_deviation_never_resolves_the_truth(tmp_path, monkeypatch, capsys):
+    # GridDeviation scores the trace alone, so a field that cannot be
+    # resolved (here any field) stops neither a sweep nor a replay of it
+    from unkloc import cli
+
+    def unresolvable(self):
+        raise ConfigError(f"the {self.kind} field was resolved")
+
+    monkeypatch.setattr(FieldSource, "resolve", unresolvable)
+    cfg = _gridgap(n_grid=(100, 200), trials=3)
+    result = run(cfg)
+    assert result.values.tobytes() == run(cfg, workers=2).values.tobytes()
+    seed, metrics = run_cell(cfg, 200, 2)
+    assert seed == int(result.seeds[5]) and _bits(metrics["grid_deviation"]) == _bits(result.values[5, 0])
+    record = {"mode": "GridDeviation", "field": {"source": "file", "path": str(tmp_path / "missing.json")},
+              "renewal": {"family": "uniform"}, "noise": {"family": "zero"}, "n_grid": [100, 200], "trials": 3}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(record))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["replay", "--config", str(config), "--n", "200", "--trial", "2",
+                     "--rows", str(tmp_path / "out" / "rows.csv")]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["verified"] == ["grid_deviation"]
+    with pytest.raises(ConfigError, match="the paper1 field was resolved"):  # a mode with readings still needs it
+        run(_config())
+
+
 @pytest.mark.parametrize("known_b, b", [(None, 3), (5, 5), (0, 0)])
 def test_estimate_reads_known_b_and_defaults_to_the_truths(known_b, b):
     cfg = _config(known_b=known_b)

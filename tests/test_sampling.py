@@ -86,7 +86,7 @@ def test_max_spacing():
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_spacing_support_and_mean(spec):
-    draws = _draw_block(spec, _rng(17), 10**6)
+    draws = _draw_block(spec, _rng(17), np.empty(10**6))
     assert np.all(draws > 0.0)
     assert np.all(draws <= spec.max_spacing)
     # E[X] = 1/n, sd of the mean is bounded by max_spacing / sqrt(N)
@@ -96,14 +96,14 @@ def test_spacing_support_and_mean(spec):
 
 def test_degenerate_spacing_is_exact():
     spec = RenewalLaw("degenerate").at(100)
-    draws = _draw_block(spec, _rng(0), 50)
+    draws = _draw_block(spec, _rng(0), np.empty(50))
     assert np.all(draws == 0.01)
 
 
 def test_scalar_spacing_matches_support():
     spec = RenewalLaw("triangular").at(50)
     for _ in range(100):
-        x = _draw_block(spec, _rng(_), 1)[0]
+        x = _draw_block(spec, _rng(_), np.empty(1))[0]
         assert 0.0 < x <= spec.max_spacing
 
 

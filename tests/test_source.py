@@ -136,3 +136,25 @@ def test_no_module_imports_scipy():
                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
              if name.partition(".")[0] == "scipy"]
     assert not found, f"scipy imported in {found}"
+
+
+def test_one_sampling_function_draws_spacings_and_one_checks_trace_order():
+    # generate_traces draws through one spacing loop, for a chunk of cells
+    # and for generate_trace's one row, and _check is the one scan of a
+    # trace's order, for generated traces and for a SampleTrace built by
+    # hand; a second loop or scan would be a second path that only tests
+    # keep in step
+    tree = ast.parse((SOURCE / "sampling.py").read_text())
+
+    def shifted(node):  # a[..., 1:] > a[..., :-1]: two slices of one array compared
+        sides = [node.left, *node.comparators]
+        return all(isinstance(side, ast.Subscript) and any(isinstance(part, ast.Slice) for part in ast.walk(side.slice))
+                   for side in sides) and len({ast.dump(side.value) for side in sides}) == 1
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    drawing = [getattr(f, "name", "lambda") for f in functions
+               if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_draw_block"
+                      for node in ast.walk(f))]
+    ordering = [getattr(f, "name", "lambda") for f in functions
+                if any(isinstance(node, ast.Compare) and shifted(node) for node in ast.walk(f))]
+    assert len(drawing) == 1 and len(ordering) == 1, f"spacings drawn in {drawing}, order scanned in {ordering}"
