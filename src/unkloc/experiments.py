@@ -351,7 +351,8 @@ def run_cell(config: ExperimentConfig, n: int, trial: int) -> tuple[int, dict[st
     on (config, n, trial): the sweep's own lines run this one cell, so a
     replayed row matches its sweep row by construction.  A cell outside the
     config's sweep is a ConfigError, and so is a truth that cannot be
-    resolved; an unrunnable trial reads NaN, as in a sweep."""
+    resolved in a mode that reads it; an unrunnable trial reads NaN, as in
+    a sweep."""
     if n not in config.n_grid:
         raise ConfigError(f"n={n} is not in the config grid {list(config.n_grid)}")
     if not 0 <= trial < config.trials:  # trials <= 2**32, so a trial is one word below 2**32

@@ -323,7 +323,7 @@ def _trace(spec: RenewalSpec, locations: np.ndarray, readings: np.ndarray | None
     return _seal(object.__new__(SampleTrace), spec, locations, readings)
 
 
-def _check(spec: RenewalSpec, points: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _check(spec: RenewalSpec, points: np.ndarray, m: np.ndarray) -> np.ndarray | list:
     """Check the trace held by each row j of points, a matrix: its first m[j]
     entries, and then, where the row goes on, the sum that crossed 1.  A
     ValueError is raised unless the locations lie in (0, 1], end within one
@@ -331,8 +331,8 @@ def _check(spec: RenewalSpec, points: np.ndarray, m: np.ndarray) -> np.ndarray:
     RuntimeError unless the sum after them is past 1 (the stopping rule
     S_M <= 1 < S_M + X_{M+1}).  Returns the rows whose locations do not
     strictly increase: the one scan of a trace's order, which the caller
-    acts on.
-    A row holds m[j] >= 1 locations unless it is an empty trace of width 0."""
+    acts on.  A row holds m[j] >= 1 locations unless it is an empty trace
+    of width 0."""
     rows, width = points.shape
     at = np.arange(rows)
     last = points[at, m - 1] if width else np.zeros(rows)  # S_M, and S_0 = 0 for no sample
@@ -374,7 +374,7 @@ def _nudge(locations: np.ndarray) -> None:
 class TraceRows(NamedTuple):
     """The traces of a chunk of cells at one spec, one a row of points.  Row
     j's locations are points[j, :m[j]], followed by the sum that crossed 1.
-    A row whose trace took more than one block has m[j] = 0 and its
+    A row whose trace went on past its first draw has m[j] = 0 and its
     locations in long[j]; a row whose law hit the redraw bound has m[j] = 0
     and its ConfigError in faults[j]."""
 
@@ -421,13 +421,14 @@ def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out:
     rows x spec.width float64 matrix, with rngs giving one stream per row.
 
     Row j takes spec.width spacings from its stream (a block, or the start
-    of one) and cumulates them in place.  Its trace is cut at the last sum <= 1 (the spacing that would
-    cross 1 is drawn and discarded); a block that ends at or below 1 is
-    followed by more from the same stream, before the next row's stream is
-    drawn from, and that row's trace moves to TraceRows.long.  The whole
-    chunk is then checked at once (see _check), and a tie takes a one-ulp
-    nudge up.  A row whose law hits the redraw bound keeps its ConfigError
-    in TraceRows.faults, and the other rows go on."""
+    of one) and cumulates them in place.  Its trace is cut at the last sum
+    <= 1 (the spacing that would cross 1 is drawn and discarded); a row that
+    ends at or below 1 draws on from the same stream (see _cumulate) before
+    the next row's stream is drawn from, and its trace moves to
+    TraceRows.long.  The whole chunk is then checked at once (see _check),
+    and a tie takes a one-ulp nudge up.  A row whose law hits the redraw
+    bound keeps its ConfigError in TraceRows.faults, and the other rows go
+    on."""
     rows, width = out.shape
     m = np.zeros(rows, dtype=np.intp)
     long, faults = {}, {}
