@@ -2,17 +2,19 @@
 
 Locations are partial sums S_i of i.i.d. spacings X with E[X] = 1/n and
 support inside (0, lam/n]; generation stops at the last S_M <= 1 (the
-spacing that would cross 1 is drawn and discarded).  generate_traces draws
-a chunk of cells' traces, one from each cell's stream, into the rows of
-one float64 matrix that its caller sizes: a sweep fits as many rows of
-RenewalSpec.width spacings as a point budget holds
-(experiments.TRACE_POINTS).  It checks the chunk with a few matrix calls,
-and grid_deviation scores a chunk with one sum per row; generate_trace
-and a SampleTrace's grid_deviation are the one-row cases.  Per-trial randomness
-comes from Philox, a counter-based 64-bit generator.  One transcription of
-numpy's SeedSequence hash makes both the seed of an (experiment seed, n,
-trial) cell and the key of each of its streams, and every stream is keyed
-one way: a generator is re-keyed to its key.
+spacing that would cross 1 is drawn and discarded).  The degenerate law,
+the equispaced baseline, draws the exact gaps of the grid i/n, which sum
+back to S_i = i/n bit for bit.  generate_traces draws a chunk of cells'
+traces, one from each cell's stream, into the rows of one float64 matrix
+that its caller sizes: a sweep fits as many rows of RenewalSpec.width
+spacings as a point budget holds (experiments.TRACE_POINTS).  It checks
+the chunk with a few matrix calls, and grid_deviation scores a chunk with
+one sum per row; generate_trace and a SampleTrace's grid_deviation are
+the one-row cases.  Per-trial randomness comes from Philox, a
+counter-based 64-bit generator.  One transcription of numpy's SeedSequence
+hash makes both the seed of an (experiment seed, n, trial) cell and the
+key of each of its streams, and every stream is keyed one way: a
+generator is re-keyed to its key.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def spawn_rngs(seed: int, count: int = 2) -> tuple[np.random.Generator, ...]:
 
 def _beta_lam(alpha: float, beta: float) -> float:
     """n X = lam * Beta(alpha, beta) has mean 1 at lam = (alpha+beta)/alpha."""
-    if not (0 < alpha < math.inf and 0 < beta < math.inf and (alpha + beta) / alpha < math.inf):
-        raise ConfigError(f"scaled_beta needs finite alpha > 0, beta > 0 and lam, got {alpha!r}, {beta!r}")
+    if not (alpha + beta) / alpha < math.inf:
+        raise ConfigError(f"scaled_beta needs a finite lam, got alpha={alpha!r}, beta={beta!r}")
     return (alpha + beta) / alpha
 
 
@@ -163,16 +165,19 @@ def _uniform(spec: RenewalSpec, rng: np.random.Generator, out: np.ndarray) -> np
 
 
 def _degenerate(spec: RenewalSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    out.fill(1.0 / spec.n)
-    return out
+    """The gaps of the grid i/n, i <= out.size: two grid points past 0 lie within a factor 2, so
+    each gap is exact (Sterbenz), and a sequential sum of the gaps gives back every i/n bit for bit."""
+    grid = np.arange(out.size + 1) / spec.n
+    return np.subtract(grid[1:], grid[:-1], out=out)
 
 
 class _Law(NamedTuple):
-    lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta); refuses a bad shape
+    lam: Callable[[float, float], float]  # support bound of n X, from (alpha, beta); refuses an infinite one
     draw: Callable[[RenewalSpec, np.random.Generator, np.ndarray], np.ndarray]  # spacings X, drawn into out
     # a block drawn in parts draws what it draws whole; a law that redraws
     # rejected variates does so after each part's draws, so it may not
     parts: bool = False
+    shape: tuple[str, ...] = ()  # the shape keys a renewal record of the family reads
 
 
 _LAWS = {
@@ -182,9 +187,9 @@ _LAWS = {
         lambda k: rng.triangular(0.0, 1.0, 2.0, size=k), out.size, lambda v: v <= 0.0, spec), spec.n, out=out)),
     "scaled_beta": _Law(_beta_lam, lambda spec, rng, out: np.multiply(redraw(
         lambda k: rng.beta(spec.law.alpha, spec.law.beta, size=k), out.size, lambda v: v <= 0.0, spec),
-        spec.max_spacing, out=out)),
-    # X = 1/n exactly (testing only; lam = 1 sits outside lam > 1)
-    "degenerate": _Law(lambda a, b: 1.0, _degenerate, parts=True),
+        spec.max_spacing, out=out), shape=("alpha", "beta")),
+    # S_i = i/n exactly, drawn whole as a part restarts the grid (testing only; lam = 1 is outside lam > 1)
+    "degenerate": _Law(lambda a, b: 1.0, _degenerate),
 }
 
 FAMILIES = tuple(_LAWS)
@@ -194,7 +199,8 @@ FAMILIES = tuple(_LAWS)
 class RenewalLaw:
     """The spacing law of n X, at every density n: mean 1, support inside
     (0, lam].  lam is not a parameter: the mean-1 constraint pins it, through
-    the family's row of ``_LAWS``.  alpha and beta shape scaled_beta only."""
+    the family's row of ``_LAWS``.  alpha and beta, finite and > 0 in every
+    family, shape scaled_beta only."""
 
     family: str
     alpha: float = 2.0
@@ -204,7 +210,10 @@ class RenewalLaw:
     def __post_init__(self) -> None:
         if self.family not in _LAWS:
             raise ConfigError(f"unknown renewal family {self.family!r}; choose from {FAMILIES}")
-        object.__setattr__(self, "lam", _LAWS[self.family].lam(number("alpha", self.alpha), number("beta", self.beta)))
+        alpha, beta = number("alpha", self.alpha), number("beta", self.beta)
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ConfigError(f"{self.family} needs finite alpha > 0 and beta > 0, got {alpha!r}, {beta!r}")
+        object.__setattr__(self, "lam", _LAWS[self.family].lam(alpha, beta))
 
     def at(self, n: int) -> "RenewalSpec":
         """This law at sample density n."""
@@ -218,14 +227,13 @@ class RenewalLaw:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenewalLaw":
-        """A missing or null alpha/beta takes the default; other families take no shape."""
+        """A missing or null alpha/beta takes the default; a family reads the shape its ``_LAWS`` row names."""
         family = data.get("family")
         if family is None:
             raise ConfigError("renewal record needs a 'family' entry")
         shape = {key: data[key] for key in ("alpha", "beta") if data.get(key) is not None}
         law = cls(str(family), **shape)
-        refuse_unread(data, f"{law.family} renewal law",
-                      ("family", "alpha", "beta") if law.family == "scaled_beta" else ("family",))
+        refuse_unread(data, f"{law.family} renewal law", ("family", *_LAWS[law.family].shape))
         return law
 
 
@@ -259,7 +267,7 @@ class RenewalSpec:
         of the block is drawn only for that trace."""
         if not _LAWS[self.law.family].parts:
             return self.block
-        return min(self.block, int(self.n + 2.0 * math.sqrt(self.n) + 16))
+        return int(self.n + 2.0 * math.sqrt(self.n) + 16)
 
     @classmethod
     def uniform(cls, n: int) -> "RenewalSpec":
@@ -331,11 +339,10 @@ def _check(spec: RenewalSpec, points: np.ndarray, m: np.ndarray) -> np.ndarray |
     RuntimeError unless the sum after them is past 1 (the stopping rule
     S_M <= 1 < S_M + X_{M+1}).  Returns the rows whose locations do not
     strictly increase: the one scan of a trace's order, which the caller
-    acts on.  A row holds m[j] >= 1 locations unless it is an empty trace
-    of width 0."""
+    acts on.  A row with m[j] = 0 holds no sample, and its S_0 is 0."""
     rows, width = points.shape
     at = np.arange(rows)
-    last = points[at, m - 1] if width else np.zeros(rows)  # S_M, and S_0 = 0 for no sample
+    last = np.where(m > 0, points[at, m - 1], 0.0) if width else np.zeros(rows)  # S_M, and S_0 = 0 for no sample
     if width:  # each bound on the least or the largest value, where a NaN fails it
         if not (points[:, 0].min() > 0.0 and last.max() <= 1.0):
             raise ValueError("locations must lie in (0, 1]")
@@ -425,35 +432,27 @@ def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out:
     <= 1 (the spacing that would cross 1 is drawn and discarded); a row that
     ends at or below 1 draws on from the same stream (see _cumulate) before
     the next row's stream is drawn from, and its trace moves to
-    TraceRows.long.  The whole chunk is then checked at once (see _check),
-    and a tie takes a one-ulp nudge up.  A row whose law hits the redraw
-    bound keeps its ConfigError in TraceRows.faults, and the other rows go
-    on."""
-    rows, width = out.shape
+    TraceRows.long.  A row whose law hits the redraw bound keeps its
+    ConfigError in TraceRows.faults, and the other rows go on.  Every other
+    row, an empty trace too, is then checked at once (see _check), and a
+    tie takes a one-ulp nudge up."""
+    rows = len(out)
     m = np.zeros(rows, dtype=np.intp)
     long, faults = {}, {}
-    if spec.law.family == "degenerate":
-        # Exact arithmetic gives S_i = i/n and M = n; summing rounded 1/n
-        # spacings in floats would drift past 1 and drop the final point.
-        out[:, :spec.n + 1] = np.arange(1, spec.n + 2) / spec.n
-        m[:] = spec.n
-    else:
-        for j, rng in zip(range(rows), rngs):
-            try:
-                cut, parts = _cumulate(spec, rng, out[j])
-            except ConfigError as exc:
-                faults[j] = exc
-                out[j] = 0.0  # the scores of a chunk read every row
-                continue
-            if len(parts) > 1:
-                long[j] = np.concatenate((*parts[:-1], parts[-1][:cut + 1]))
-            else:
-                m[j] = cut
-    drawn = np.flatnonzero(m)
-    if drawn.size == rows:
-        tied = _check(spec, out, m)
-    else:  # a chunk with a long or a faulted row checks its other rows apart
-        tied = drawn[_check(spec, out[drawn], m[drawn])] if drawn.size else []
+    for j, rng in zip(range(rows), rngs):
+        try:
+            cut, parts = _cumulate(spec, rng, out[j])
+        except ConfigError as exc:
+            faults[j] = exc
+            out[j] = 0.0  # the scores of a chunk read every row
+            continue
+        if len(parts) > 1:
+            long[j] = np.concatenate((*parts[:-1], parts[-1][:cut + 1]))
+        else:
+            m[j] = cut
+    drawn = np.delete(np.arange(rows), [*long, *faults])  # a long row is checked apart, a faulted one not at all
+    points = out if drawn.size == rows else out[drawn]  # a chunk with neither is checked whole, uncopied
+    tied = drawn[_check(spec, points, m[drawn])] if drawn.size else []
     for j in tied:
         _nudge(out[j, :m[j]])
     for j, sums in long.items():

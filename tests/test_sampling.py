@@ -49,10 +49,14 @@ def test_uniform_lambda_is_pinned():
 def test_scaled_beta_lambda_follows_shape():
     assert RenewalLaw("scaled_beta", 1.0, 3.0).lam == pytest.approx(4.0, abs=1e-12)
     assert RenewalLaw("scaled_beta").lam == 2.0
-    # a bad shape is refused by the law itself, before any n
-    for alpha, beta in ((0.0, 2.0), (2.0, -1.0), (float("inf"), 2.0), (2.0, float("nan")), (1e-310, 2.0)):
-        with pytest.raises(ConfigError):
-            RenewalLaw("scaled_beta", alpha, beta)
+    # a bad shape is refused by the law itself, before any n, whether or
+    # not its family reads the shape
+    for family in sampling.FAMILIES:
+        for alpha, beta in ((0.0, 2.0), (2.0, -1.0), (float("inf"), 2.0), (2.0, float("nan")), (-3.0, float("nan"))):
+            with pytest.raises(ConfigError):
+                RenewalLaw(family, alpha, beta)
+    with pytest.raises(ConfigError):  # a shape in range whose lam overflows
+        RenewalLaw("scaled_beta", 1e-310, 2.0)
 
 
 def test_degenerate_lambda_is_one():
@@ -95,9 +99,13 @@ def test_spacing_support_and_mean(spec):
 
 
 def test_degenerate_spacing_is_exact():
-    spec = RenewalLaw("degenerate").at(100)
-    draws = _draw_block(spec, _rng(0), np.empty(50))
-    assert np.all(draws == 0.01)
+    # the spacings are the gaps of the grid i/n: a gap may sit an ulp or two
+    # off 1/n, but their sequential sums are every i/n bit for bit
+    for n in (3, 7, 10, 100, 1000, 10007):
+        spec, rng = RenewalLaw("degenerate").at(n), _rng(n)
+        draws = _draw_block(spec, rng, np.empty(spec.block))
+        assert np.array_equal(np.cumsum(draws), np.arange(1, spec.block + 1) / n), n
+        assert rng.random() == _rng(n).random(), n  # the stream is untouched
 
 
 def test_scalar_spacing_matches_support():

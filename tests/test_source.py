@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import unkloc
+from unkloc import noise, sampling
 
 SOURCE = Path(unkloc.__file__).resolve().parent
 
@@ -158,3 +159,17 @@ def test_one_sampling_function_draws_spacings_and_one_checks_trace_order():
     ordering = [getattr(f, "name", "lambda") for f in functions
                 if any(isinstance(node, ast.Compare) and shifted(node) for node in ast.walk(f))]
     assert len(drawing) == 1 and len(ordering) == 1, f"spacings drawn in {drawing}, order scanned in {ordering}"
+
+
+def test_no_comparison_names_a_family():
+    # a renewal or noise family's rules live in its row of the law table in
+    # sampling.py or noise.py; a value tested against a family name
+    # elsewhere would be a second place that knows that family
+    names = set(sampling.FAMILIES) | set(noise.FAMILIES)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(isinstance(leaf, ast.Constant) and leaf.value in names
+                          for side in (node.left, *node.comparators) for leaf in ast.walk(side))]
+    assert not found, f"family names compared in {found}"

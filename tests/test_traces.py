@@ -159,6 +159,23 @@ def test_a_row_that_hits_the_redraw_bound_reads_nan_alone(mode, monkeypatch):
     assert all(math.isnan(value) for value in run_cell(config, n, trial)[1].values())
 
 
+def test_a_row_with_no_sample_is_checked_with_its_chunk(monkeypatch):
+    # a row cut before its first sum holds no sample, yet that sum is at or
+    # below 1: the chunk's check reads its S_0 = 0 and the stopping rule fails
+    cumulate, rows = sampling._cumulate, []
+
+    def empty(spec, rng, row):
+        cut, parts = cumulate(spec, rng, row)
+        rows.append(row)
+        return (0 if len(rows) == 2 else cut), parts
+
+    monkeypatch.setattr(sampling, "_cumulate", empty)
+    spec = sampling.RenewalSpec.uniform(200)
+    with pytest.raises(RuntimeError, match="stopping rule"):
+        sampling.generate_traces(spec, spawn_rngs(7, 4), np.empty((4, spec.width)))
+    assert len(rows) == 4
+
+
 @pytest.mark.parametrize("scale, blocks", [(0.9, 1), (0.8, 2)])
 @pytest.mark.parametrize("mode", ["GridDeviation", "EnergyMSE"])
 def test_a_row_that_draws_past_its_start_reads_as_whole_blocks(mode, scale, blocks, monkeypatch):
