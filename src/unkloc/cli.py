@@ -178,7 +178,11 @@ def cmd_replay(args) -> int:
         if other:
             raise ConfigError(f"the rows for n={args.n}, trial={args.trial} in {args.rows} were recorded "
                               f"by mode {', '.join(other)}, not by the config's mode {config.mode}")
-        recorded = {rec["metric"]: rec for rec in cell}
+        recorded = {}
+        for rec in cell:
+            if recorded.setdefault(rec["metric"], rec) is not rec:
+                raise ConfigError(f"the rows for n={args.n}, trial={args.trial} in {args.rows} record "
+                                  f"metric {rec['metric']} twice")
         mismatches = []
         for name, value in metrics.items():
             rec = recorded.get(name)  # values compare by bits, so a recorded NaN matches a NaN

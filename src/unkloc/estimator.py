@@ -4,8 +4,9 @@ The estimator sees only the readings and their ordinal position: coefficient
 k is the average of y_i exp(-j 2 pi k i / M) over i = 1..M, as if the
 samples sat on the uniform grid i/M.  Readings are real, as the field is.
 Every projection comes from one kernel, ``_leaf_sums``.  np.sum adds an
-M-point vector along a tree of halvings; on one leaf of that tree the kernel
-builds the base phase exp(-j 2 pi i / M) with ``field.phase`` (cos and sin
+M-point vector along a tree of halvings; on one leaf of that tree, at most
+``field.BLOCK`` points (the package's one block size), the kernel builds
+the base phase exp(-j 2 pi i / M) with ``field.phase`` (cos and sin
 written into one complex vector, the bits of np.exp), steps it to
 exp(-j 2 pi k i / M) by repeated multiplication (no FFT) and takes its two
 real sums.  Adding the leaf sums up the same tree gives the bits of np.sum
@@ -22,13 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .field import BandlimitedField, phase
-
-# Most points on one leaf.  np.sum halves a piece until it holds at most 128
-# points, so any LEAF of 128 or more cuts the same tree.  A leaf's complex
-# temporaries (128 KiB at 8192 points) come back from the allocator's cache,
-# where full-length ones would fault in fresh pages for every harmonic.
-LEAF = 8192
+from .field import BLOCK, BandlimitedField, phase
 
 
 def _check_readings(readings) -> np.ndarray:
@@ -53,7 +48,7 @@ def _half(n: int) -> int:
 def _pairwise(part: Callable[[int, int], np.ndarray], lo: int, n: int) -> np.ndarray:
     """part(start, length) of each leaf of [lo, lo + n), in order, added up
     np.sum's tree: when part is np.sum over the leaf, this is np.sum over all."""
-    if n <= LEAF:
+    if n <= BLOCK:
         return part(lo, n)
     half = _half(n)
     return _pairwise(part, lo, half) + _pairwise(part, lo + half, n - half)

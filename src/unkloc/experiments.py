@@ -244,9 +244,12 @@ class ExperimentResult:
                     yield TrialRow(n, trial, seed, name, next(values))
 
 
-# a trial is _draw, from its streams, then its mode's step, which scores the
-# trace and returns the mode's metrics in order.  Both call the layer
-# functions through this module's globals, where a tracer can wrap them.
+# _run_cells draws a chunk of traces; a mode with readings then runs _trial
+# on each row, which acquires the row's readings and calls the mode's step
+# to score that one trace, while GridDeviation's step scores the whole chunk
+# at once.  Each step returns the mode's metrics in order.  These functions
+# call the layer functions through this module's globals, where a tracer can
+# wrap them.
 
 
 def detect(config: ExperimentConfig, trace: SampleTrace) -> DetectionOutcome:

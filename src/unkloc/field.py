@@ -2,7 +2,9 @@
 
 A field is g(x) = sum_{k=-b..b} a[k] exp(j 2 pi k x), stored as the dense
 coefficient vector a[-b..b].  The coefficients must be conjugate-symmetric,
-a[-k] == conj(a[k]) exactly, so every field is real-valued.
+a[-k] == conj(a[k]) exactly, so every field is real-valued.  BLOCK is the
+package's one block size: ``evaluate`` runs on blocks of that many points,
+and the projection in ``estimator`` on leaves of at most that many.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from .errors import ConfigError, number, whole
 # b = 64 and 1.049 at b = 4000 (seeds 0-2, on a 2**17-point grid).
 DENSE_GRID = 8192
 
-# Points per block of ``evaluate``.  A block's complex temporaries (64 KiB
-# each) come back from the allocator's cache, where full-length ones would
-# fault in fresh pages for every harmonic.
-EVAL_BLOCK = 4096
-
 
 def phase(theta: np.ndarray) -> np.ndarray:
     """exp(j theta) for a real array theta, written as cos theta and sin theta
@@ -37,6 +34,15 @@ def phase(theta: np.ndarray) -> np.ndarray:
     np.cos(theta, out=w.real)
     np.sin(theta, out=w.imag)
     return w
+
+
+# Points per block of ``evaluate`` and most points per leaf of the
+# projection (``estimator._pairwise``): the package's one block size.  A
+# block's complex temporaries (128 KiB each) come back from the allocator's
+# cache, where full-length ones would fault in fresh pages for every
+# harmonic.  np.sum halves a piece until it holds at most 128 points, so
+# any leaf of 128 or more points cuts the same tree.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class BandlimitedField:
 
         g(x) = a[0] + sum_{k=1..b} 2 Re(a[k] e^k) with e = exp(j 2 pi x).
         a[-k] e^-k is the exact conjugate of a[k] e^k, so this is bit for bit
-        the real part of the full sum over -b..b.  It runs on EVAL_BLOCK-point
+        the real part of the full sum over -b..b.  It runs on BLOCK-point
         blocks of the flattened x; every step is elementwise, so a value has
         the same bits in any block, and a scalar the same bits as in an array.
         """
@@ -93,9 +99,9 @@ class BandlimitedField:
         # are skipped unless a[0] is -0.0; e^k still steps through each k.
         add_zeros = a0 == 0.0 and np.signbit(a0)
         out = np.full(flat.size, a0)
-        for lo in range(0, flat.size, EVAL_BLOCK):
-            e1 = phase((2.0 * np.pi) * flat[lo : lo + EVAL_BLOCK])
-            val = out[lo : lo + EVAL_BLOCK]
+        for lo in range(0, flat.size, BLOCK):
+            e1 = phase((2.0 * np.pi) * flat[lo : lo + BLOCK])
+            val = out[lo : lo + BLOCK]
             ek = np.ones_like(e1)
             for c in self.coeffs[self.b + 1 :]:
                 ek = ek * e1  # a fresh product: written into ek, a 1-point block rounds differently

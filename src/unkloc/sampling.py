@@ -286,9 +286,10 @@ class SampleTrace:
 
     The stopping rule S_M <= 1 < S_M + X_{M+1} is checked during
     generation; the crossing spacing itself is discarded.  Building one
-    checks its locations (see _check).  generate_traces, which checks the
-    traces it draws a chunk at a time, and acquire, whose trace is checked
-    already, build theirs through _trace, unchecked.
+    checks its locations (see _check) and seals copies of the caller's
+    arrays.  generate_traces, which checks the traces it draws a chunk at a
+    time, and acquire, whose trace is checked already, build theirs through
+    _trace, unchecked, sealing the arrays they made with no copy.
     """
 
     spec: RenewalSpec
@@ -296,28 +297,23 @@ class SampleTrace:
     readings: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
+        locs = np.array(self.locations, dtype=float)
         if len(_check(self.spec, locs.reshape(1, -1), np.array([locs.size]))):
             raise ValueError("locations must be strictly increasing")
-        if self.readings is not None and np.shape(self.readings) != locs.shape:
+        readings = None if self.readings is None else np.array(self.readings)
+        if readings is not None and readings.shape != locs.shape:
             raise ValueError("readings must align with locations")
-        _seal(self, self.spec, locs, self.readings)
+        _seal(self, self.spec, locs, readings)
 
     @property
     def m(self) -> int:
         return int(self.locations.size)
-
-    @property
-    def overshoot(self) -> float:
-        """1 - S_M, or 1 for a trace with no sample."""
-        return 1.0 - float(self.locations[-1]) if self.locations.size else 1.0
 
 
 def _seal(trace: SampleTrace, spec: RenewalSpec, locations: np.ndarray, readings) -> SampleTrace:
     """trace holding spec, locations and readings, its arrays read-only."""
     locations.setflags(write=False)
     if readings is not None:
-        readings = np.asarray(readings)
         readings.setflags(write=False)
     object.__setattr__(trace, "spec", spec)
     object.__setattr__(trace, "locations", locations)
@@ -469,7 +465,9 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
 
 
 # the rows whose gaps to the grid one temporary holds, so that it is a few
-# rows long however many rows a chunk of traces has
+# rows long however many rows a chunk of traces has: numpy also buffers each
+# broadcast or strided operand of a pass, up to 8192 elements, and a sweep at
+# n = 20 is held to 64 B a cell (its 512-row chunks in one pass took 81 B)
 _GAP_ROWS = 8
 
 

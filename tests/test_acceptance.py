@@ -2,13 +2,16 @@
 PASS/FAIL line per criterion (run with -s to watch them stream).
 
 These are slower than the unit tests on purpose; together they rerun the
-main Monte Carlo results end to end from fixed seeds.
+main Monte Carlo results end to end from fixed seeds.  Every test here
+carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs
+the rest of the suite without them.
 """
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 from scipy.stats import binom, norm
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth
@@ -19,6 +22,8 @@ from unkloc.experiments import ExperimentConfig, FieldSource, run
 from unkloc.field import BandlimitedField, distortion, random_field, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
+
+pytestmark = pytest.mark.acceptance
 
 SEED = 20260822
 RATE_WINDOW = (-1.3, -0.7)  # acceptable log-log slope for 1/n decay

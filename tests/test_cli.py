@@ -639,6 +639,14 @@ def test_sweep_shape_flags_patch_the_config_renewal(sweep_config, tmp_path, caps
     assert rows["patched"] == rows["wide"]
 
 
+@pytest.mark.parametrize("text", ['{"coeffs": [[1, 0]]}', '{"b": 1, "coeffs": [0.1, 0.2, 0.1]}'])
+def test_estimate_refuses_a_field_file_without_b_or_coefficient_pairs(tmp_path, capsys, text):
+    path = tmp_path / "field.json"
+    path.write_text(text)
+    assert main(["estimate", "--field", str(path), "--n", "100"]) == EXIT_USAGE
+    assert "field record must carry 'b' and 'coeffs' as [re, im] pairs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("b", ["2.5", "true", '"2"'])
 def test_estimate_refuses_a_field_file_with_a_non_integer_bandwidth(tmp_path, capsys, b):
     # five pairs would fit b = 2, which int() used to truncate 2.5 to
@@ -829,6 +837,41 @@ def test_replay_refuses_rows_without_the_row_columns(fault_sweep, tmp_path, caps
     assert f"lacks the rows CSV columns {missing}" in capsys.readouterr().err
 
 
+def test_replay_refuses_a_metric_recorded_twice(fault_sweep, tmp_path, capsys):
+    # a conflicting success row placed before the true one: were the last row
+    # of each metric read alone, the cell would verify
+    config, real = fault_sweep
+    header, *lines = real.read_text().splitlines()
+    true = next(line for line in lines if line.startswith("BandwidthCurve,2000,1,") and ",success," in line)
+    head, value = true.rsplit(",", 1)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("\n".join([header, f"{head},{1.0 - float(value)}", *lines]) + "\n")
+    assert main(["replay", "--config", str(config), "--n", "2000", "--trial", "1", "--rows", str(rows)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "record metric success twice" in captured.err and captured.out == ""
+
+
+def test_replay_refuses_rows_without_the_cell(fault_sweep, tmp_path, capsys):
+    config, real = fault_sweep
+    rows = tmp_path / "rows.csv"
+    rows.write_text("".join(line for line in real.read_text().splitlines(keepends=True)
+                            if not line.startswith("BandwidthCurve,2000,1,")))
+    assert main(["replay", "--config", str(config), "--n", "2000", "--trial", "1", "--rows", str(rows)]) == EXIT_USAGE
+    assert f"no rows for n=2000, trial=1 in {rows}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mode": "GridDeviation", "field": {"source": "paper1"}, "renewal": {"family": "uniform"}, '
+     '"noise": {"family": "zero"}}', "experiment config is missing ['n_grid']"),
+    ('[{"mode": "GridDeviation"}]', "experiment config must be a mapping"),
+])
+def test_replay_refuses_a_config_that_is_no_sweep_record(tmp_path, capsys, text, message):
+    config = tmp_path / "sweep.json"
+    config.write_text(text)
+    assert main(["replay", "--config", str(config), "--n", "200", "--trial", "0"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def _cell_records(path, n, trial):
     return {rec["metric"]: (rec["seed"], rec["value"].hex())
             for rec in load_rows_csv(path) if rec["n"] == n and rec["trial"] == trial}
@@ -992,7 +1035,8 @@ PINNED_SWEEPS = {
              ["--n", "200,400,800", "--trials", "3", "--seed", "6", "--renewal", "triangular"]),
     "energy": ({"mode": "EnergyMSE", "field": {"source": "random", "b": 4, "seed": 2}},
                ["--n", "200,400,800", "--trials", "3", "--seed", "7", "--noise", "rademacher:0.3"]),
-    # n spanning three to five blocks of field.EVAL_BLOCK points, at b = 3 and 12
+    # n spanning two and three blocks of field.BLOCK points (evaluate's blocks and the
+    # projection's leaves), at b = 3 and 12
     "distortion_large": ({"mode": "DistortionSweep", "field": {"source": "paper1"}},
                          ["--n", "10000,20000", "--trials", "2", "--seed", "10",
                           "--renewal", "triangular", "--noise", "gaussian:0.5:4"]),

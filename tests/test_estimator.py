@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from unkloc.bandwidth import BandwidthConfig, detect_bandwidth, threshold_coefficient
 from unkloc import estimator
-from unkloc.estimator import LEAF, energy_estimate, estimate_field, harmonics
-from unkloc.field import phase, random_field, reference_field
+from unkloc.estimator import energy_estimate, estimate_field, harmonics
+from unkloc.field import BLOCK, phase, random_field, reference_field
 from unkloc.noise import NoiseSpec
 from unkloc.sampling import RenewalLaw, RenewalSpec, acquire, generate_trace, spawn_rngs, trial_seed
 
@@ -147,7 +147,9 @@ _READINGS = {
     "float32": lambda rng, m: rng.normal(size=m).astype(np.float32),
     "infinities": _with_infinities,
 }
-_LEAF_EDGE_SIZES = [1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8, 65537, 99991, 100000]
+# the leaves hold at most field.BLOCK points
+_LEAF_EDGE_SIZES = [1, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 8, 65537, 99991,
+                    100000]
 
 
 def _complex_hexes(w):
@@ -189,14 +191,14 @@ def test_leaf_kernel_matches_the_full_length_kernel_bit_for_bit(m, kind):
 def test_leaf_cuts_need_the_multiple_of_8_rule(monkeypatch):
     # np.sum cuts a piece at n//2 rounded down to a multiple of 8; cut at
     # n//2 alone, the leaves add up another tree and the last bits move
-    y = np.random.default_rng(3).normal(size=2 * LEAF + 8)
+    y = np.random.default_rng(3).normal(size=2 * BLOCK + 8)
     expected = [_bits(c) for c in islice(full_length_harmonics(y), 4)]
     assert [_bits(c) for c in islice(harmonics(y), 4)] == expected
     monkeypatch.setattr(estimator, "_half", lambda n: n // 2)
     assert [_bits(c) for c in islice(harmonics(y), 4)] != expected
 
 
-@pytest.mark.parametrize("m", _LEAF_EDGE_SIZES + [3 * LEAF + 5, 1_000_003])
+@pytest.mark.parametrize("m", _LEAF_EDGE_SIZES + [3 * BLOCK + 5, 1_000_003])
 def test_leaf_sums_fold_to_np_sum(m):
     # the leaves tile [0, m) in order, and adding np.sum of each up the
     # tree is np.sum over all m: a numpy whose sum cuts differently fails here
@@ -204,7 +206,7 @@ def test_leaf_sums_fold_to_np_sum(m):
     leaves = []
     folded = estimator._pairwise(lambda lo, n: leaves.append((lo, n)) or np.sum(y[lo : lo + n]), 0, m)
     assert [lo for lo, _ in leaves] == [0, *np.cumsum([n for _, n in leaves])[:-1]]
-    assert sum(n for _, n in leaves) == m and all(0 < n <= LEAF for _, n in leaves)
+    assert sum(n for _, n in leaves) == m and all(0 < n <= BLOCK for _, n in leaves)
     assert float(folded).hex() == float(np.sum(y)).hex()
 
 
@@ -225,6 +227,8 @@ def test_estimate_rejects_empty_or_matrix():
         coefficient(np.array([]), 0)
     with pytest.raises(ValueError):
         coefficient(np.ones((3, 3)), 0)
+    with pytest.raises(ValueError, match="bandwidth must be non-negative"):
+        estimate_field(np.ones(5), -1)
 
 
 @pytest.mark.parametrize("estimate", [

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import unkloc
 from unkloc.errors import ConfigError
 from unkloc.field import (
+    BLOCK,
     DENSE_GRID,
-    EVAL_BLOCK,
     BandlimitedField,
     distortion,
     random_field,
@@ -161,9 +161,11 @@ def _hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-# sizes around the block edges: empty, one point, one block short, exact and
-# one over, and trailing 1-point blocks after two and three full ones
-_BLOCK_EDGE_SIZES = [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 1]
+# sizes around the block edges: empty, one point, around half a block and a
+# half block after a full one, one block short, exact and one over, and
+# trailing 1-point blocks after two and three full ones
+_BLOCK_EDGE_SIZES = [0, 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, 3 * BLOCK // 2 + 1,
+                     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 1]
 
 
 @pytest.mark.parametrize("b", [0, 3, 12, 40])
@@ -201,7 +203,7 @@ def test_evaluate_skips_zero_harmonics_bit_for_bit(name, size):
 
 def test_blocked_evaluate_keeps_the_bits_of_2d_and_strided_input():
     f = random_field(12, seed=4)
-    x = np.random.default_rng(4).random((3, EVAL_BLOCK + 5))
+    x = np.random.default_rng(4).random((3, BLOCK + 5))
     grid = f.evaluate(x)
     assert grid.shape == x.shape
     assert _hexes(grid) == _hexes(old_complex_sum(f, x))

@@ -123,7 +123,6 @@ def test_degenerate_trace_is_the_exact_grid():
     assert trace.m == 100
     assert np.array_equal(trace.locations, np.arange(1, 101) / 100)
     assert trace.locations[-1] == 1.0
-    assert trace.overshoot == 0.0
     assert grid_deviation(trace) == 0.0
 
 
@@ -135,7 +134,7 @@ def test_trace_invariants(spec):
         assert s[0] > 0.0
         assert s[-1] <= 1.0
         assert np.all(np.diff(s) > 0.0)
-        assert 0.0 <= trace.overshoot <= spec.max_spacing
+        assert 0.0 <= 1.0 - s[-1] <= spec.max_spacing
         # adding one more spacing must cross 1
         assert s[-1] + (1.0 - s[-1]) <= 1.0
         assert trace.m + 1 >= spec.n / spec.law.lam - 1e-9
@@ -156,7 +155,6 @@ def test_trace_is_deterministic_per_rng_state():
     a = generate_trace(spec, _rng(9))
     b = generate_trace(spec, _rng(9))
     assert np.array_equal(a.locations, b.locations)
-    assert a.overshoot == b.overshoot
 
 
 def test_trace_generation_stops_at_the_redraw_bound():
@@ -178,8 +176,7 @@ def test_trace_invariants_property(n, seed, family):
     s = trace.locations
     assert 0.0 < s[0] and s[-1] <= 1.0
     assert np.all(np.diff(s) > 0.0)
-    assert 0.0 <= trace.overshoot <= spec.max_spacing
-    assert abs((s[-1] + trace.overshoot) - 1.0) < 1e-9
+    assert 0.0 <= 1.0 - s[-1] <= spec.max_spacing
 
 
 # trace container -------------------------------------------------------------
@@ -206,15 +203,39 @@ def test_trace_rejects_short_trace_for_n():
         SampleTrace(spec=spec, locations=np.array([0.9]))
 
 
-def test_trace_overshoot_follows_its_last_location():
+def test_trace_refuses_an_overshoot_past_one_spacing():
     spec = RenewalLaw("uniform").at(3)
-    assert SampleTrace(spec=spec, locations=np.array([0.9])).overshoot == pytest.approx(0.1)
-    assert SampleTrace(spec=RenewalSpec.uniform(1), locations=np.array([])).overshoot == 1.0
-    with pytest.raises(TypeError):  # it is no longer a field a caller can contradict
+    with pytest.raises(TypeError):  # the overshoot is no field a caller can contradict
         SampleTrace(spec=spec, locations=np.array([0.9]), overshoot=0.05)
     # S_M = 0.3 lies more than lam/n = 2/3 below 1, so one more spacing could not cross it
     with pytest.raises(ValueError, match="overshoot"):
         SampleTrace(spec=spec, locations=np.array([0.2, 0.3]))
+
+
+def test_trace_refuses_readings_that_do_not_align_with_its_locations():
+    with pytest.raises(ValueError, match="readings must align with locations"):
+        SampleTrace(spec=RenewalSpec.uniform(4), locations=np.array([0.5, 0.9]), readings=np.array([1.0]))
+
+
+def test_hand_built_trace_seals_copies_of_the_callers_arrays():
+    locs, readings = np.array([0.5, 0.9]), np.array([1.0, 2.0])
+    trace = SampleTrace(spec=RenewalSpec.uniform(4), locations=locs, readings=readings)
+    locs[0], readings[0] = 0.1, 3.0  # the caller's arrays stay writable, and the trace keeps its values
+    assert trace.locations.tolist() == [0.5, 0.9] and trace.readings.tolist() == [1.0, 2.0]
+    for array in (trace.locations, trace.readings):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # a generated trace seals a view of its row of the chunk's matrix, uncopied
+    spec = RenewalSpec.uniform(100)
+    out = np.empty((2, spec.width))
+    generated = sampling.generate_traces(spec, (_rng(0), _rng(1)), out).trace(1)
+    assert np.shares_memory(generated.locations, out[1]) and not generated.locations.flags.writeable
+
+
+def test_grid_deviation_refuses_an_empty_trace():
+    trace = SampleTrace(spec=RenewalSpec.uniform(1), locations=np.array([]))
+    with pytest.raises(ValueError, match="grid deviation is undefined for an empty trace"):
+        grid_deviation(trace)
 
 
 def test_grid_deviation_single_sample():
@@ -267,7 +288,7 @@ def test_spawned_streams_are_independent():
     b = np.empty(t)
     for i in range(t):
         trace_rng, noise_rng = spawn_rngs(trial_seed(0, 100, i))
-        a[i] = generate_trace(spec, trace_rng).overshoot
+        a[i] = 1.0 - generate_trace(spec, trace_rng).locations[-1]
         b[i] = noise.draw(noise_rng, size=1)[0]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
