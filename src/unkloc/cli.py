@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from .errors import ConfigError
@@ -144,13 +145,13 @@ def cmd_sweep(args) -> int:
     config = _config(args, load_record(args.config), n_grid=args.n, trials=args.trials,
                      master_seed=args.seed, delta=args.delta)
     out_dir = Path(args.out)
-    created = not out_dir.exists()
+    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)  # before the trials: an unwritable --out fails at once
     try:
         result = run(config, workers=_workers_from_env())
     except BaseException:
-        if created:  # a failed sweep leaves no empty directory behind
-            out_dir.rmdir()
+        for path in made:  # a failed sweep leaves no empty directory behind
+            path.rmdir()
         raise
     write_rows_csv(result, out_dir / "rows.csv")
     write_summary_csv(result, out_dir / "summary.csv")

@@ -23,6 +23,7 @@ from itertools import islice
 
 import numpy as np
 
+from .errors import whole
 from .field import BLOCK, BandlimitedField, phase
 
 
@@ -89,8 +90,7 @@ def estimate_field(readings, b: int) -> BandlimitedField:
     mirrored onto -b..-1 by ``BandlimitedField.from_half``.  Each leaf gives
     all b+1 of its sum pairs before the next leaf starts."""
     y = _check_readings(readings)
-    if b < 0:
-        raise ValueError("bandwidth must be non-negative")
+    b = whole("bandwidth b", b, 0)
     m = y.size
     sums = _pairwise(lambda lo, n: np.array(list(islice(_leaf_sums(y, lo, n), b + 1))), 0, m)
     return BandlimitedField.from_half(_average(pair, m) for pair in sums)
@@ -103,6 +103,6 @@ def energy_estimate(readings, sigma2: float) -> float:
     the value is reported as-is (the detection stopping band tolerates it).
     """
     y = _as_float(_check_readings(readings))
-    if sigma2 < 0:
+    if not sigma2 >= 0:  # a NaN too, as BandwidthConfig refuses it
         raise ValueError("noise variance must be non-negative")
     return float(np.mean(y**2) - sigma2)

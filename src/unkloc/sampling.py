@@ -8,13 +8,13 @@ back to S_i = i/n bit for bit.  generate_traces draws a chunk of cells'
 traces, one from each cell's stream, into the rows of one float64 matrix
 that its caller sizes: a sweep fits as many rows of RenewalSpec.width
 spacings as a point budget holds (experiments.TRACE_POINTS).  It checks
-the chunk with a few matrix calls, and grid_deviation scores a chunk with
-one sum per row; generate_trace and a SampleTrace's grid_deviation are
-the one-row cases.  Per-trial randomness comes from Philox, a
-counter-based 64-bit generator.  One transcription of numpy's SeedSequence
-hash makes both the seed of an (experiment seed, n, trial) cell and the
-key of each of its streams, and every stream is keyed one way: a
-generator is re-keyed to its key.
+the chunk with a few matrix calls, and grid_deviation scores it a row at
+a time in one row-long buffer, the path a hand-built trace takes too;
+generate_trace is the one-row case.  Per-trial randomness comes from
+Philox, a counter-based 64-bit generator.  One transcription of numpy's
+SeedSequence hash makes both the seed of an (experiment seed, n, trial)
+cell and the key of each of its streams, and every stream is keyed one
+way: a generator is re-keyed to its key.
 """
 
 from __future__ import annotations
@@ -464,42 +464,31 @@ def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
     return generate_traces(spec, (rng,), np.empty((1, spec.width))).trace(0)
 
 
-# the rows whose gaps to the grid one temporary holds, so that it is a few
-# rows long however many rows a chunk of traces has: numpy also buffers each
-# broadcast or strided operand of a pass, up to 8192 elements, and a sweep at
-# n = 20 is held to 64 B a cell (its 512-row chunks in one pass took 81 B)
-_GAP_ROWS = 8
-
-
-def _gaps(points: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(1/M) sum_i (S_i - i/M)^2 over the first M = m[j] entries of each row
-    j of points, or NaN where m[j] = 0.  The gaps are squared _GAP_ROWS rows
-    at a time, each row's are summed by one np.add.reduce over that row
-    alone, and each sum is divided by its M: np.mean's own sum and division."""
-    sums, sizes = np.empty(m.size), m.tolist()
-    most = max(sizes, default=0)
-    # i and M as doubles, as int / int divides them; a row with m[j] = 0 divides by 1 and is never summed
-    ordinals, counts = np.arange(1.0, most + 1), np.maximum(m, 1).astype(float)[:, None]
-    for lo in range(0, m.size, _GAP_ROWS):
-        gap = ordinals / counts[lo:lo + _GAP_ROWS]  # i/M
-        np.subtract(points[lo:lo + _GAP_ROWS, :most], gap, out=gap)
-        gap *= gap
-        sums[lo:lo + len(gap)] = [np.add.reduce(row[:size]) for row, size in zip(gap, sizes[lo:lo + _GAP_ROWS])]
-    return np.divide(sums, m, out=np.full(m.size, np.nan), where=m > 0)
-
-
 def grid_deviation(trace: SampleTrace | TraceRows) -> float | np.ndarray:
     """(1/M) sum_i (S_i - i/M)^2, the squared gap to the ordinal grid: a
     float for one trace, and for a chunk of traces an array of one per
-    row, NaN for a faulted row."""
+    row, NaN for a row with no sample (a faulted one).  Each row is scored
+    in one buffer as long as the longest row, all its operands contiguous
+    and of one shape, so numpy buffers none: i/M written in, the
+    locations subtracted and the gaps squared in place, and one
+    np.add.reduce divided by M, np.mean's own sum and division."""
     if isinstance(trace, SampleTrace):
         if trace.m == 0:
             raise ValueError("grid deviation is undefined for an empty trace")
-        return float(_gaps(trace.locations[None], np.array([trace.m]))[0])
-    scores = _gaps(trace.points, trace.m)
-    for j, locations in trace.long.items():
-        scores[j] = _gaps(locations[None], np.array([locations.size]))[0]
-    return scores
+        rows = [trace.locations]
+    else:
+        rows = [trace.long[j] if j in trace.long else trace.points[j, :m] for j, m in enumerate(trace.m.tolist())]
+    most = max((row.size for row in rows), default=0)
+    ordinals, buffer = np.arange(1.0, most + 1), np.empty(most)  # i as doubles, as int / int divides them
+    scores = np.full(len(rows), np.nan)
+    for j, locations in enumerate(rows):
+        m = locations.size
+        if m:
+            gap = np.divide(ordinals[:m], m, out=buffer[:m])  # i/M
+            np.subtract(locations, gap, out=gap)
+            gap *= gap
+            scores[j] = np.add.reduce(gap) / m
+    return float(scores[0]) if isinstance(trace, SampleTrace) else scores
 
 
 def acquire(trace: SampleTrace, field: BandlimitedField, noise: NoiseSpec,

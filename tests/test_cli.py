@@ -379,6 +379,14 @@ def test_a_failed_sweep_removes_only_the_directory_it_made(sweep_config, tmp_pat
     assert out_dir.exists() == existed
 
 
+def test_a_failed_sweep_removes_every_directory_it_made(sweep_config, tmp_path, capsys):
+    sweep_config.write_text(json.dumps({**json.loads(sweep_config.read_text()),
+                                        "field": {"source": "file", "path": str(tmp_path / "missing.json")}}))
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "out" / "a" / "b")]) == EXIT_USAGE
+    assert "missing.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")])

@@ -227,8 +227,15 @@ def test_estimate_rejects_empty_or_matrix():
         coefficient(np.array([]), 0)
     with pytest.raises(ValueError):
         coefficient(np.ones((3, 3)), 0)
-    with pytest.raises(ValueError, match="bandwidth must be non-negative"):
+    with pytest.raises(ValueError, match="bandwidth b must be an integer >= 0"):
         estimate_field(np.ones(5), -1)
+
+
+@pytest.mark.parametrize("b", [True, 1.5, "2", None])
+def test_estimate_field_refuses_a_bandwidth_that_is_not_a_whole_number(b):
+    # as BandlimitedField refuses it: True is not b = 1, and 1.5 is no islice bound
+    with pytest.raises(ValueError, match=f"bandwidth b must be an integer >= 0, got {b!r}"):
+        estimate_field(np.ones(5), b)
 
 
 @pytest.mark.parametrize("estimate", [
@@ -356,6 +363,12 @@ def test_integer_readings_give_the_energy_and_detection_of_their_float_copy(read
 def test_energy_estimate_rejects_negative_variance():
     with pytest.raises(ValueError):
         energy_estimate(np.ones(4), -0.1)
+
+
+def test_energy_estimate_rejects_a_nan_variance():
+    # as BandwidthConfig refuses it, rather than returning NaN
+    with pytest.raises(ValueError, match="noise variance must be non-negative"):
+        energy_estimate(np.ones(4), float("nan"))
 
 
 def test_energy_estimate_unbiased_under_noise():

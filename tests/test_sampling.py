@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ def test_grid_deviation_single_sample():
     trace = SampleTrace(spec=spec, locations=np.array([0.9]))
     # M = 1: (0.9 - 1/1)^2 = 0.01
     assert grid_deviation(trace) == pytest.approx(0.01, abs=1e-15)
+
+
+def test_scoring_a_chunk_holds_one_row_of_gaps():
+    # 30 uniform rows at n = 1e3: one row-long buffer and the ordinals take
+    # about 20 KiB, while a pass over several rows with a broadcast or
+    # strided operand makes numpy buffer up to 64 KiB of each operand
+    spec = RenewalSpec.uniform(1000)
+    traces = sampling.generate_traces(spec, (_rng(seed) for seed in range(30)), np.empty((30, spec.width)))
+    grid_deviation(traces)  # first calls
+    tracemalloc.start()
+    try:
+        scores = grid_deviation(traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (30,) and not np.isnan(scores).any()
+    assert peak <= 64 * 2**10, f"{peak / 2**10:.1f} KiB"
 
 
 # acquisition -----------------------------------------------------------------
