@@ -28,7 +28,7 @@ class BandwidthConfig:
         # an int compares exactly with inf, so a huge one reaches the overflow check
         if not 0 < number("delta", self.delta) < math.inf:
             raise ConfigError(f"delta must be a finite positive number, got {self.delta!r}")
-        if not self.sigma2 >= 0:
+        if not number("sigma2", self.sigma2) >= 0:
             raise ConfigError("sigma2 must be non-negative")
         try:  # the stop band and the bound on n in validate_runnable's message
             0.5 * self.delta**2 + (1.0 / self.delta) ** 3

@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import whole
+from .errors import number, whole
 from .field import BLOCK, BandlimitedField, phase
 
 
@@ -103,6 +103,6 @@ def energy_estimate(readings, sigma2: float) -> float:
     the value is reported as-is (the detection stopping band tolerates it).
     """
     y = _as_float(_check_readings(readings))
-    if not sigma2 >= 0:  # a NaN too, as BandwidthConfig refuses it
+    if not number("noise variance", sigma2) >= 0:  # a NaN too, as BandwidthConfig refuses it
         raise ValueError("noise variance must be non-negative")
     return float(np.mean(y**2) - sigma2)

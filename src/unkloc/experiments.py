@@ -400,6 +400,7 @@ def _run_cells(config: ExperimentConfig, truth: BandlimitedField | None,
                     values[lo + j] = _trial(config, truth, traces, j - a, rekey(rngs[1], keys[1][j]))
             else:
                 values[lo + a:lo + b] = mode.step(config, truth, traces)
+            del traces  # so that the next chunk is drawn while no other chunk's rows are held
         lo = hi
     return seeds, values
 
@@ -544,10 +545,10 @@ def _fit_primary_slope(config: ExperimentConfig,
 def fit_loglog_slope(points) -> SlopeFit:
     """OLS slope of log(mean) on log(n) with a 95% Student-t confidence interval.
 
-    Needs >= 3 points at distinct, positive n with positive, finite means;
+    Needs >= 3 points at distinct, positive, whole n with positive, finite means;
     offending n values are named in the error.
     """
-    pts = [(int(n), float(mean)) for n, mean in points]
+    pts = [(whole("slope fit n", n), float(mean)) for n, mean in points]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 (n, mean) points")
     ns = [n for n, _ in pts]

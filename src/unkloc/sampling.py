@@ -8,8 +8,9 @@ back to S_i = i/n bit for bit.  generate_traces draws a chunk of cells'
 traces, one from each cell's stream, into the rows of one float64 matrix
 that its caller sizes: a sweep fits as many rows of RenewalSpec.width
 spacings as a point budget holds (experiments.TRACE_POINTS).  It checks
-the chunk with a few matrix calls, and grid_deviation scores it a row at
-a time in one row-long buffer, the path a hand-built trace takes too;
+the chunk with a few matrix calls and returns it as a list of rows, each
+a trace's locations; grid_deviation scores the list a row at a time in
+one row-long buffer, the path a hand-built trace takes too, and
 generate_trace is the one-row case.  Per-trial randomness comes from
 Philox, a counter-based 64-bit generator.  One transcription of numpy's
 SeedSequence hash makes both the seed of an (experiment seed, n, trial)
@@ -20,6 +21,7 @@ way: a generator is re-keyed to its key.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -103,22 +105,22 @@ def trial_seed(experiment_seed: int, n: int, trial):
     """Stable 64-bit seed of the (n, trial) cell of an experiment: the
     SeedSequence hash of the entropy (experiment_seed mod 2**64, n, trial),
     whose words are the little-endian 32-bit words SeedSequence splits each
-    int into (0 is one word).
+    int into (0 is one word); a float or a numpy bool is a TypeError, as there.
 
     With an int trial it hashes one cell and returns an int.  With an
     integer array of trials in [0, 2**32), one word each, it hashes the
     cells of every trial at this n at once and returns a uint64 array."""
-    n, array = int(n), isinstance(trial, np.ndarray)
+    n, array = operator.index(n), isinstance(trial, np.ndarray)
     if array:  # one word per trial; checked on Python ints, as numpy's checks page in more code than the hash
         fits = trial.dtype.kind in "iu" and all(0 <= t <= _MASK32 for t in trial.tolist())
     else:
-        trial = int(trial)
+        trial = operator.index(trial)
         fits = trial >= 0
     if n < 0 or not fits:  # as SeedSequence refuses them; the split holds for ints >= 0 only
         raise ValueError(f"a cell needs n >= 0 and trial >= 0, and an array of trials integers below 2**32; "
                          f"got n={n}, trial={trial}")
     words = [trial.astype(np.uint64)] if array else _split(trial)
-    return _state64(_pool(_split(int(experiment_seed) & _MASK64) + _split(n) + words), 1)[0]
+    return _state64(_pool(_split(operator.index(experiment_seed) & _MASK64) + _split(n) + words), 1)[0]
 
 
 def stream_keys(seed, count: int = 2) -> list[tuple]:
@@ -128,7 +130,7 @@ def stream_keys(seed, count: int = 2) -> list[tuple]:
     entropy words are [s_lo, s_hi, 0, 0, i]: the spawn key's padding, which
     also holds for s < 2**32.  Its key is generate_state(2, np.uint64) of
     their pool, as Philox takes it."""
-    seed = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else int(seed) & _MASK64
+    seed = seed.astype(np.uint64) if isinstance(seed, np.ndarray) else operator.index(seed) & _MASK64
     return [tuple(_state64(_pool([seed & _MASK32, seed >> 32, 0, 0, i]), 2)) for i in range(count)]
 
 
@@ -298,6 +300,8 @@ class SampleTrace:
 
     def __post_init__(self) -> None:
         locs = np.array(self.locations, dtype=float)
+        if locs.ndim != 1:
+            raise ValueError("locations must be a 1-d vector")
         if len(_check(self.spec, locs.reshape(1, -1), np.array([locs.size]))):
             raise ValueError("locations must be strictly increasing")
         readings = None if self.readings is None else np.array(self.readings)
@@ -375,23 +379,20 @@ def _nudge(locations: np.ndarray) -> None:
 
 
 class TraceRows(NamedTuple):
-    """The traces of a chunk of cells at one spec, one a row of points.  Row
-    j's locations are points[j, :m[j]], followed by the sum that crossed 1.
-    A row whose trace went on past its first draw has m[j] = 0 and its
-    locations in long[j]; a row whose law hit the redraw bound has m[j] = 0
-    and its ConfigError in faults[j]."""
+    """The traces of a chunk of cells at one spec: rows[j] is row j's
+    locations, a view of its row of the chunk's matrix or, for a trace that
+    went on past its first draw, its own array.  A row whose law hit the
+    redraw bound holds an empty view, and its ConfigError is in faults[j]."""
 
     spec: RenewalSpec
-    points: np.ndarray
-    m: np.ndarray
-    long: dict[int, np.ndarray]
+    rows: list[np.ndarray]
     faults: dict[int, ConfigError]
 
     def trace(self, j: int) -> SampleTrace:
-        """Row j's trace, a view of its row; a faulted row raises its ConfigError."""
+        """Row j's trace, sealing its locations uncopied; a faulted row raises its ConfigError."""
         if j in self.faults:
             raise self.faults[j]
-        return _trace(self.spec, self.long[j] if j in self.long else self.points[j, :self.m[j]])
+        return _trace(self.spec, self.rows[j])
 
 
 def _cumulate(spec: RenewalSpec, rng: np.random.Generator, row: np.ndarray) -> tuple[int, list]:
@@ -427,11 +428,12 @@ def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out:
     of one) and cumulates them in place.  Its trace is cut at the last sum
     <= 1 (the spacing that would cross 1 is drawn and discarded); a row that
     ends at or below 1 draws on from the same stream (see _cumulate) before
-    the next row's stream is drawn from, and its trace moves to
-    TraceRows.long.  A row whose law hits the redraw bound keeps its
-    ConfigError in TraceRows.faults, and the other rows go on.  Every other
-    row, an empty trace too, is then checked at once (see _check), and a
-    tie takes a one-ulp nudge up."""
+    the next row's stream is drawn from, and its trace moves to its own
+    array.  A row whose law hits the redraw bound keeps its ConfigError in
+    TraceRows.faults, and the other rows go on.  Every other row, an empty
+    trace too, is then checked at once (see _check), and a tie takes a
+    one-ulp nudge up.  Only then is TraceRows.rows made, so that no view
+    of a row is held through the check."""
     rows = len(out)
     m = np.zeros(rows, dtype=np.intp)
     long, faults = {}, {}
@@ -440,7 +442,6 @@ def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out:
             cut, parts = _cumulate(spec, rng, out[j])
         except ConfigError as exc:
             faults[j] = exc
-            out[j] = 0.0  # the scores of a chunk read every row
             continue
         if len(parts) > 1:
             long[j] = np.concatenate((*parts[:-1], parts[-1][:cut + 1]))
@@ -455,7 +456,7 @@ def generate_traces(spec: RenewalSpec, rngs: Iterable[np.random.Generator], out:
         if len(_check(spec, sums[None], np.array([sums.size - 1]))):
             _nudge(sums[:-1])
         long[j] = sums[:-1]
-    return TraceRows(spec, out, m, long, faults)
+    return TraceRows(spec, [long[j] if j in long else out[j, :cut] for j, cut in enumerate(m.tolist())], faults)
 
 
 def generate_trace(spec: RenewalSpec, rng: np.random.Generator) -> SampleTrace:
@@ -472,12 +473,9 @@ def grid_deviation(trace: SampleTrace | TraceRows) -> float | np.ndarray:
     and of one shape, so numpy buffers none: i/M written in, the
     locations subtracted and the gaps squared in place, and one
     np.add.reduce divided by M, np.mean's own sum and division."""
-    if isinstance(trace, SampleTrace):
-        if trace.m == 0:
-            raise ValueError("grid deviation is undefined for an empty trace")
-        rows = [trace.locations]
-    else:
-        rows = [trace.long[j] if j in trace.long else trace.points[j, :m] for j, m in enumerate(trace.m.tolist())]
+    if isinstance(trace, SampleTrace) and trace.m == 0:
+        raise ValueError("grid deviation is undefined for an empty trace")
+    rows = [trace.locations] if isinstance(trace, SampleTrace) else trace.rows
     most = max((row.size for row in rows), default=0)
     ordinals, buffer = np.arange(1.0, most + 1), np.empty(most)  # i as doubles, as int / int divides them
     scores = np.full(len(rows), np.nan)

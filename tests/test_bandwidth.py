@@ -85,6 +85,9 @@ def test_config_rejects_bad_values():
         BandwidthConfig(delta=math.inf, sigma2=0.0, n=100)
     with pytest.raises(ConfigError):
         BandwidthConfig(delta=True, sigma2=0.0, n=100)
+    for sigma2 in ("1", True):  # the variance is a number, as delta is
+        with pytest.raises(ConfigError, match="sigma2 must be a number"):
+            BandwidthConfig(delta=0.1, sigma2=sigma2, n=100)
     with pytest.raises(ConfigError, match="largest float"):  # n**(-1/3) runs in floats
         BandwidthConfig(delta=0.1, sigma2=0.0, n=10**400)
 

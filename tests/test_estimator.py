@@ -371,6 +371,13 @@ def test_energy_estimate_rejects_a_nan_variance():
         energy_estimate(np.ones(4), float("nan"))
 
 
+@pytest.mark.parametrize("sigma2", ["1", True])
+def test_energy_estimate_rejects_a_variance_that_is_not_a_number(sigma2):
+    # a string raised a bare TypeError, and True read as 1
+    with pytest.raises(ValueError, match="noise variance must be a number"):
+        energy_estimate(np.ones(4), sigma2)
+
+
 def test_energy_estimate_unbiased_under_noise():
     field = reference_field("paper1")
     noise = NoiseSpec.uniform_sym(1.0)

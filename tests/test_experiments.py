@@ -93,6 +93,10 @@ def test_slope_rejects_nonpositive_means():
     # so is an n with no logarithm
     with pytest.raises(ValueError, match=r"positive n .*offending n: \[0\]"):
         fit_loglog_slope([(0, 1.0), (10, 0.5), (100, 0.2)])
+    # and an n that is not a whole number is named, not truncated to one
+    for bad in (2.5, True, math.inf):
+        with pytest.raises(ValueError, match=f"slope fit n must be an integer, got {bad!r}"):
+            fit_loglog_slope([(bad, 1.0), (3, 0.5), (4, 0.25)])
 
 
 def test_slope_fit_takes_n_past_int64():

@@ -218,6 +218,14 @@ def test_trace_refuses_readings_that_do_not_align_with_its_locations():
         SampleTrace(spec=RenewalSpec.uniform(4), locations=np.array([0.5, 0.9]), readings=np.array([1.0]))
 
 
+@pytest.mark.parametrize("locations", [np.array([[0.3, 0.6, 0.9]]), 0.9])
+def test_trace_refuses_locations_that_are_not_a_vector(locations):
+    # a one-row matrix or a scalar passes the order check, and a row
+    # matrix would only fail later, inside grid_deviation
+    with pytest.raises(ValueError, match="locations must be a 1-d vector"):
+        SampleTrace(spec=RenewalSpec.uniform(4), locations=locations)
+
+
 def test_hand_built_trace_seals_copies_of_the_callers_arrays():
     locs, readings = np.array([0.5, 0.9]), np.array([1.0, 2.0])
     trace = SampleTrace(spec=RenewalSpec.uniform(4), locations=locs, readings=readings)
@@ -347,6 +355,25 @@ def test_trial_seed_is_the_seed_sequence_hash_of_the_cell(seed, n, trial):
 def test_trial_seed_refuses_a_negative_cell(n, trial):
     with pytest.raises(ValueError, match="n >= 0 and trial >= 0"):
         trial_seed(5, n, trial)
+
+
+@pytest.mark.parametrize("value", [1000.7, 1000.0, 1.5, np.float64(3.0), np.True_])
+def test_a_seed_that_is_not_an_integer_is_a_type_error_as_in_seed_sequence(value):
+    # SeedSequence refuses these, and truncating one would hash another cell
+    for entropy in ([value, 1000, 0], [0, value, 0], [0, 1000, value], value):
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(entropy)
+    for call in (lambda: trial_seed(value, 1000, 0), lambda: trial_seed(0, value, 0),
+                 lambda: trial_seed(0, 1000, value), lambda: trial_seed(0, value, np.array([0])),
+                 lambda: stream_keys(value)):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("value", [True, np.int64(7), np.uint64(7), np.int32(7)])
+def test_an_integer_that_seed_sequence_takes_hashes_as_its_int(value):
+    assert trial_seed(value, value, value) == _reference_seed(int(value), int(value), int(value))
+    assert stream_keys(value, 2) == stream_keys(int(value), 2)
 
 
 def _reference_seed(seed, n, trial):
